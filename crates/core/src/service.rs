@@ -4,8 +4,7 @@
 //! feed it parsed iSCSI PDUs (active path) or in-flight data-segment bytes
 //! (passive path) and execute the actions it emits: forwarding, replying,
 //! issuing side I/O to replica volumes, raising alerts. Services are pure
-//! state machines — all timing flows through the relay — so the same
-//! implementation runs in the simulator and in a threaded pipeline.
+//! state machines: all timing flows through the relay.
 
 use bytes::Bytes;
 

@@ -2,9 +2,8 @@
 //! and direct taint sources), `impl` blocks, `use` imports, string
 //! constants and allow-comments, summarized into a [`FileSummary`].
 //!
-//! The summary is the unit of caching: it is config-independent (raw
-//! lexical hits carry no scope or suppression decisions) and derived
-//! purely from the file's bytes, so it can be keyed by content hash.
+//! The summary is config-independent (raw lexical hits carry no scope
+//! or suppression decisions) and derived purely from the file's bytes.
 //! The interprocedural engine ([`crate::callgraph`], [`crate::taint`])
 //! consumes summaries only — it never re-reads source text.
 //!

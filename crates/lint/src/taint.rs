@@ -256,7 +256,7 @@ impl<'a> AllowLedger<'a> {
 const DET_PROPS: [u8; 3] = [P_WALL_CLOCK, P_AMBIENT_RAND, P_HASH_ITER];
 
 /// Evaluates every workspace rule: re-applies scope/suppression to the
-/// cached lexical hits, runs the metric-name check against harvested
+/// summarized lexical hits, runs the metric-name check against harvested
 /// registry constants, emits the three interprocedural rules from the
 /// taint result, and finally reports stale allows. Returns unsorted
 /// findings (the caller sorts).
@@ -269,7 +269,7 @@ pub fn evaluate(ws: &Workspace, t: &Taint, cfg: &Config) -> Vec<Finding> {
         .map(|f| FileClass::from_rel_path(&f.rel_path))
         .collect();
 
-    // 1. Lexical rules from cached raw hits.
+    // 1. Lexical rules from the summaries' raw hits.
     for (fi, file) in ws.files.iter().enumerate() {
         let class = &classes[fi];
         for hit in &file.lexical {

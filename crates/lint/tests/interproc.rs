@@ -1,13 +1,13 @@
 //! Workspace-mode tests over the mini-workspace in
 //! `fixtures/interproc/`: chains, conservative resolution, allow
-//! escapes, stale allows, the metric registry, and the summary cache.
+//! escapes, stale allows and the metric registry.
 //! JSON and SARIF output are locked by snapshots; regenerate with
 //! `STORM_LINT_BLESS=1 cargo test -p storm-lint --test interproc`.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use storm_lint::{analyze_workspace_opts, render_json, render_sarif, Config, Finding, ScanOptions};
+use storm_lint::{analyze_workspace, render_json, render_sarif, Config, Finding};
 
 fn fixture_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -16,13 +16,7 @@ fn fixture_root() -> PathBuf {
 }
 
 fn scan() -> (Vec<Finding>, usize) {
-    let (findings, stats) = analyze_workspace_opts(
-        &fixture_root(),
-        &Config::default(),
-        ScanOptions { cache: false },
-    )
-    .expect("fixture workspace scans");
-    (findings, stats.files_scanned)
+    analyze_workspace(&fixture_root(), &Config::default()).expect("fixture workspace scans")
 }
 
 fn chain_names(f: &Finding) -> Vec<&str> {
@@ -174,45 +168,4 @@ fn json_and_sarif_snapshots() {
     let (findings, scanned) = scan();
     snapshot("expected.json", &render_json(&findings, scanned));
     snapshot("expected.sarif", &render_sarif(&findings));
-}
-
-fn copy_tree(from: &Path, to: &Path) {
-    fs::create_dir_all(to).unwrap();
-    for entry in fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let dst = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_tree(&entry.path(), &dst);
-        } else {
-            fs::copy(entry.path(), &dst).unwrap();
-        }
-    }
-}
-
-/// Warm scans must hit the cache for every file and produce identical
-/// findings; a corrupted cache must fall back to a cold scan silently.
-#[test]
-fn cache_warm_run_identical_and_corruption_falls_back() {
-    let tmp = std::env::temp_dir().join(format!("storm-lint-cache-test-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&tmp);
-    copy_tree(&fixture_root(), &tmp);
-    // Snapshots in the fixture root are not .rs files; the walker only
-    // picks up sources, so the copy scans exactly like the original.
-    let cfg = Config::default();
-    let opts = ScanOptions { cache: true };
-    let (cold, cold_stats) = analyze_workspace_opts(&tmp, &cfg, opts).unwrap();
-    assert_eq!(cold_stats.cache_hits, 0);
-    let (warm, warm_stats) = analyze_workspace_opts(&tmp, &cfg, opts).unwrap();
-    assert_eq!(warm_stats.cache_hits, warm_stats.files_scanned);
-    assert_eq!(cold, warm, "warm scan diverged from cold scan");
-
-    let cache_file = tmp
-        .join("target")
-        .join("storm-lint-cache")
-        .join("summaries.v1.txt");
-    fs::write(&cache_file, "storm-lint-cache 1\ngarbage\n").unwrap();
-    let (after, after_stats) = analyze_workspace_opts(&tmp, &cfg, opts).unwrap();
-    assert_eq!(after_stats.cache_hits, 0, "corrupt cache must not hit");
-    assert_eq!(cold, after, "corrupt cache changed findings");
-    let _ = fs::remove_dir_all(&tmp);
 }
