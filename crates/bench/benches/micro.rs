@@ -46,6 +46,9 @@ fn bench_crypto(c: &mut Criterion) {
     g.bench_function("aes_xts_4k", |b| {
         b.iter(|| xts.encrypt_run(black_box(42), 512, &mut sector))
     });
+    g.bench_function("aes_xts_4k_decrypt", |b| {
+        b.iter(|| xts.decrypt_run(black_box(42), 512, &mut sector))
+    });
     let chacha = ChaCha20::new(&[9u8; 32], &[1u8; 12]);
     g.bench_function("chacha20_4k", |b| {
         b.iter(|| chacha.apply_keystream_at(black_box(0), &mut sector))

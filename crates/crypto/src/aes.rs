@@ -2,16 +2,29 @@
 //!
 //! The S-box is derived at first use from its definition (multiplicative
 //! inverse in GF(2^8) followed by the affine transform) rather than
-//! transcribed, eliminating a whole class of copy errors.
+//! transcribed, eliminating a whole class of copy errors. The round tables
+//! are derived from the S-box in turn.
+//!
+//! The state is four big-endian column words (row 0 in the high byte), and
+//! each full round is 16 lookups into one 32-bit table: `te[x]` is the
+//! MixColumns column of `sbox[x]`, `td[x]` the InvMixColumns column of
+//! `inv_sbox[x]`, and the other three rows are the same word rotated.
+//! Decryption runs the equivalent inverse cipher (FIPS-197 §5.3.5), whose
+//! middle round keys carry InvMixColumns from key setup.
 
 use std::sync::OnceLock;
 
 /// AES block size in bytes.
 pub const BLOCK_SIZE: usize = 16;
 
+/// Round-key words of the longest schedule (AES-256: 4 × 15).
+const MAX_RK_WORDS: usize = 60;
+
 struct Tables {
     sbox: [u8; 256],
     inv_sbox: [u8; 256],
+    te: [u32; 256],
+    td: [u32; 256],
 }
 
 fn gf_mul(mut a: u8, mut b: u8) -> u8 {
@@ -48,6 +61,11 @@ fn gf_inv(a: u8) -> u8 {
     result
 }
 
+/// The column `(c0·s, c1·s, c2·s, c3·s)` as a big-endian word.
+fn column(s: u8, c: [u8; 4]) -> u32 {
+    u32::from_be_bytes(c.map(|k| gf_mul(s, k)))
+}
+
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -65,7 +83,14 @@ fn tables() -> &'static Tables {
             *slot = s;
             inv_sbox[s as usize] = i as u8;
         }
-        Tables { sbox, inv_sbox }
+        let te = std::array::from_fn(|x| column(sbox[x], [2, 1, 1, 3]));
+        let td = std::array::from_fn(|x| column(inv_sbox[x], [14, 9, 13, 11]));
+        Tables {
+            sbox,
+            inv_sbox,
+            te,
+            td,
+        }
     })
 }
 
@@ -74,10 +99,56 @@ const RCON: [u8; 15] = [
     0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D, 0x9A,
 ];
 
+/// Byte `n` of `w`, counting from the high (row 0) byte.
+#[inline(always)]
+fn byte(w: u32, n: u32) -> usize {
+    ((w >> (24 - 8 * n)) & 0xFF) as usize
+}
+
+/// Applies `table` to each byte of `w` in place.
+fn sub_word(w: u32, table: &[u8; 256]) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| table[b as usize]))
+}
+
+/// One full round: the table lookups do SubBytes and MixColumns (or their
+/// inverses); `shift` picks the source column of each row (1 for
+/// ShiftRows, 3 for InvShiftRows).
+#[inline(always)]
+fn round(t: &[u32; 256], s: [u32; 4], rk: &[u32], shift: usize) -> [u32; 4] {
+    let col = |c: usize| {
+        t[byte(s[c], 0)]
+            ^ t[byte(s[(c + shift) % 4], 1)].rotate_right(8)
+            ^ t[byte(s[(c + 2 * shift) % 4], 2)].rotate_right(16)
+            ^ t[byte(s[(c + 3 * shift) % 4], 3)].rotate_right(24)
+            ^ rk[c]
+    };
+    [col(0), col(1), col(2), col(3)]
+}
+
+/// The last round: (Inv)SubBytes and (Inv)ShiftRows, no column mixing.
+#[inline(always)]
+fn last_round(sbox: &[u8; 256], s: [u32; 4], rk: &[u32], shift: usize) -> [u32; 4] {
+    let col = |c: usize| {
+        u32::from_be_bytes([
+            sbox[byte(s[c], 0)],
+            sbox[byte(s[(c + shift) % 4], 1)],
+            sbox[byte(s[(c + 2 * shift) % 4], 2)],
+            sbox[byte(s[(c + 3 * shift) % 4], 3)],
+        ]) ^ rk[c]
+    };
+    [col(0), col(1), col(2), col(3)]
+}
+
 /// An expanded AES key schedule, generic over key length.
 #[derive(Clone)]
 struct KeySchedule {
-    round_keys: Vec<[u8; 16]>,
+    /// Encryption round keys, `4 * (rounds + 1)` words used.
+    ek: [u32; MAX_RK_WORDS],
+    /// Decryption round keys in use order, InvMixColumns applied to the
+    /// middle rounds.
+    dk: [u32; MAX_RK_WORDS],
+    rounds: usize,
+    t: &'static Tables,
 }
 
 impl KeySchedule {
@@ -86,138 +157,65 @@ impl KeySchedule {
         let rounds = nk + 6;
         let total_words = 4 * (rounds + 1);
         let t = tables();
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let mut ek = [0u32; MAX_RK_WORDS];
+        for (w, k) in ek.iter_mut().zip(key.chunks_exact(4)) {
+            *w = u32::from_be_bytes([k[0], k[1], k[2], k[3]]);
         }
         for i in nk..total_words {
-            let mut temp = w[i - 1];
+            let mut temp = ek[i - 1];
             if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = t.sbox[*b as usize];
-                }
-                temp[0] ^= RCON[i / nk - 1];
+                temp = sub_word(temp.rotate_left(8), &t.sbox) ^ (u32::from(RCON[i / nk - 1]) << 24);
             } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = t.sbox[*b as usize];
-                }
+                temp = sub_word(temp, &t.sbox);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            ek[i] = ek[i - nk] ^ temp;
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        KeySchedule { round_keys }
-    }
-}
-
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk) {
-        *s ^= k;
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
-    for b in state.iter_mut() {
-        *b = sbox[*b as usize];
-    }
-}
-
-/// State is column-major: byte `r + 4c` is row `r`, column `c`.
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+        // Equivalent inverse cipher: round keys in reverse order, and
+        // InvMixColumns over all but the first and last. `td[sbox[b]]` is
+        // the InvMixColumns column of `b`.
+        let mut dk = [0u32; MAX_RK_WORDS];
+        for r in 0..=rounds {
+            for c in 0..4 {
+                let w = ek[4 * (rounds - r) + c];
+                dk[4 * r + c] = if r == 0 || r == rounds {
+                    w
+                } else {
+                    (0..4).fold(0, |acc, n| {
+                        acc ^ t.td[t.sbox[byte(w, n)] as usize].rotate_right(8 * n)
+                    })
+                };
+            }
         }
+        KeySchedule { ek, dk, rounds, t }
     }
-}
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
+    #[inline(always)]
+    fn run(&self, block: &mut [u8; BLOCK_SIZE], encrypt: bool) {
+        let (rk, table, sbox, shift) = if encrypt {
+            (&self.ek, &self.t.te, &self.t.sbox, 1)
+        } else {
+            (&self.dk, &self.t.td, &self.t.inv_sbox, 3)
+        };
+        let rk = &rk[..4 * (self.rounds + 1)];
+        let (first, rest) = rk.split_at(4);
+        let (middle, last) = rest.split_at(rest.len() - 4);
+        let load = |c: usize| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ]) ^ first[c]
+        };
+        let mut s = [load(0), load(1), load(2), load(3)];
+        for k in middle.chunks_exact(4) {
+            s = round(table, s, k, shift);
+        }
+        s = last_round(sbox, s, last, shift);
+        for (out, w) in block.chunks_exact_mut(4).zip(s) {
+            out.copy_from_slice(&w.to_be_bytes());
         }
     }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-        state[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        state[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        state[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        state[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
-    }
-}
-
-fn encrypt_block(ks: &KeySchedule, block: &mut [u8; 16]) {
-    let t = tables();
-    let rounds = ks.round_keys.len() - 1;
-    add_round_key(block, &ks.round_keys[0]);
-    for r in 1..rounds {
-        sub_bytes(block, &t.sbox);
-        shift_rows(block);
-        mix_columns(block);
-        add_round_key(block, &ks.round_keys[r]);
-    }
-    sub_bytes(block, &t.sbox);
-    shift_rows(block);
-    add_round_key(block, &ks.round_keys[rounds]);
-}
-
-fn decrypt_block(ks: &KeySchedule, block: &mut [u8; 16]) {
-    let t = tables();
-    let rounds = ks.round_keys.len() - 1;
-    add_round_key(block, &ks.round_keys[rounds]);
-    for r in (1..rounds).rev() {
-        inv_shift_rows(block);
-        sub_bytes(block, &t.inv_sbox);
-        add_round_key(block, &ks.round_keys[r]);
-        inv_mix_columns(block);
-    }
-    inv_shift_rows(block);
-    sub_bytes(block, &t.inv_sbox);
-    add_round_key(block, &ks.round_keys[0]);
 }
 
 macro_rules! aes_variant {
@@ -238,12 +236,12 @@ macro_rules! aes_variant {
 
             /// Encrypts one 16-byte block in place.
             pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-                encrypt_block(&self.ks, block);
+                self.ks.run(block, true);
             }
 
             /// Decrypts one 16-byte block in place.
             pub fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-                decrypt_block(&self.ks, block);
+                self.ks.run(block, false);
             }
         }
 
@@ -312,6 +310,9 @@ mod tests {
         let aes = Aes256::new(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(block, expect);
+        aes.decrypt_block(&mut block);
+        let plain: [u8; 16] = core::array::from_fn(|i| ((i as u8) << 4) | i as u8);
+        assert_eq!(block, plain);
     }
 
     #[test]

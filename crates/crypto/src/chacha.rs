@@ -34,6 +34,13 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// XORs `ks` into `data` byte by byte, up to the shorter length.
+fn xor_bytes(data: &mut [u8], ks: &[u8]) {
+    for (d, k) in data.iter_mut().zip(ks) {
+        *d ^= k;
+    }
+}
+
 impl ChaCha20 {
     /// Creates a cipher from a 32-byte key and 12-byte nonce.
     pub fn new(key: &[u8; 32], nonce: &[u8; 12]) -> Self {
@@ -82,18 +89,28 @@ impl ChaCha20 {
     /// result as processing it at once — the property the passive-relay
     /// cipher service relies on.
     pub fn apply_keystream_at(&self, offset: u64, data: &mut [u8]) {
-        let mut pos = offset;
-        let mut i = 0usize;
-        while i < data.len() {
-            let counter = (pos / 64) as u32;
-            let within = (pos % 64) as usize;
+        // The block counter is 32 bits, so the keystream wraps at 2^38 bytes.
+        let mut counter = (offset / 64) as u32;
+        let within = (offset % 64) as usize;
+        let head_len = ((64 - within) % 64).min(data.len());
+        let (head, body) = data.split_at_mut(head_len);
+        if !head.is_empty() {
+            xor_bytes(head, &self.block(counter)[within..]);
+            counter = counter.wrapping_add(1);
+        }
+        let mut blocks = body.chunks_exact_mut(64);
+        for chunk in &mut blocks {
             let ks = self.block(counter);
-            let n = (64 - within).min(data.len() - i);
-            for j in 0..n {
-                data[i + j] ^= ks[within + j];
+            for (d, k) in chunk.chunks_exact_mut(8).zip(ks.chunks_exact(8)) {
+                let w = u64::from_ne_bytes(d.try_into().expect("8 bytes"))
+                    ^ u64::from_ne_bytes(k.try_into().expect("8 bytes"));
+                d.copy_from_slice(&w.to_ne_bytes());
             }
-            pos += n as u64;
-            i += n;
+            counter = counter.wrapping_add(1);
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            xor_bytes(tail, &self.block(counter));
         }
     }
 

@@ -13,9 +13,12 @@
 //!   "stream cipher service that operates on each bit of the raw data"
 //!   (Figures 5, 6, 8 and 9).
 //!
-//! These implementations favour clarity over speed and are **not**
-//! side-channel hardened; they exist to make the reproduction
-//! self-contained, not for production cryptography.
+//! AES is table-driven (one 32-bit round table each way, derived from the
+//! S-box at first use) and XTS works on the tweak as one 128-bit word;
+//! ChaCha20 XORs whole keystream blocks a 64-bit word at a time. None of
+//! it is side-channel hardened: the table lookups are indexed by secret
+//! state, so their timing depends on the cache. The ciphers exist to make
+//! the reproduction self-contained, not for production cryptography.
 //!
 //! # Example
 //!

@@ -14,6 +14,12 @@ pub struct AesXts {
     tweak_cipher: Aes256,
 }
 
+/// Multiplies a tweak by alpha in GF(2^128): IEEE 1619 holds it as a
+/// little-endian integer, so the carry out of bit 127 folds back as 0x87.
+fn double(t: u128) -> u128 {
+    (t << 1) ^ ((t >> 127) * 0x87)
+}
+
 impl AesXts {
     /// Creates an XTS cipher from a data key and a tweak key.
     pub fn new(data_key: &[u8; 32], tweak_key: &[u8; 32]) -> Self {
@@ -33,25 +39,11 @@ impl AesXts {
         Self::new(&k1, &k2)
     }
 
-    fn initial_tweak(&self, sector: u64) -> [u8; BLOCK_SIZE] {
+    fn initial_tweak(&self, sector: u64) -> u128 {
         // "plain64" tweak: little-endian sector number.
-        let mut t = [0u8; BLOCK_SIZE];
-        t[..8].copy_from_slice(&sector.to_le_bytes());
+        let mut t = u128::from(sector).to_le_bytes();
         self.tweak_cipher.encrypt_block(&mut t);
-        t
-    }
-
-    /// Multiplies the tweak by alpha in GF(2^128) (little-endian convention).
-    fn next_tweak(t: &mut [u8; BLOCK_SIZE]) {
-        let mut carry = 0u8;
-        for b in t.iter_mut() {
-            let new_carry = *b >> 7;
-            *b = (*b << 1) | carry;
-            carry = new_carry;
-        }
-        if carry != 0 {
-            t[0] ^= 0x87;
-        }
+        u128::from_le_bytes(t)
     }
 
     fn process(&self, sector: u64, data: &mut [u8], encrypt: bool) {
@@ -62,21 +54,16 @@ impl AesXts {
         );
         let mut tweak = self.initial_tweak(sector);
         for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
-            let mut block = [0u8; BLOCK_SIZE];
-            block.copy_from_slice(chunk);
-            for (b, t) in block.iter_mut().zip(&tweak) {
-                *b ^= t;
-            }
+            let mut word = [0u8; BLOCK_SIZE];
+            word.copy_from_slice(chunk);
+            let mut block = (u128::from_le_bytes(word) ^ tweak).to_le_bytes();
             if encrypt {
                 self.data_cipher.encrypt_block(&mut block);
             } else {
                 self.data_cipher.decrypt_block(&mut block);
             }
-            for (b, t) in block.iter_mut().zip(&tweak) {
-                *b ^= t;
-            }
-            chunk.copy_from_slice(&block);
-            Self::next_tweak(&mut tweak);
+            chunk.copy_from_slice(&(u128::from_le_bytes(block) ^ tweak).to_le_bytes());
+            tweak = double(tweak);
         }
     }
 
@@ -198,14 +185,101 @@ mod tests {
     fn tweak_doubling_carries() {
         let mut t = [0u8; 16];
         t[15] = 0x80;
-        AesXts::next_tweak(&mut t);
+        let t = double(u128::from_le_bytes(t)).to_le_bytes();
         // The carry out of the top bit folds back as 0x87.
         assert_eq!(t[0], 0x87);
         assert_eq!(t[15], 0x00);
-        let mut t2 = [1u8; 16];
-        AesXts::next_tweak(&mut t2);
-        assert_eq!(t2[0], 2);
-        assert_eq!(t2[1], 2);
+        let t2 = double(u128::from_le_bytes([1u8; 16])).to_le_bytes();
+        assert_eq!(t2, [2u8; 16]);
+    }
+
+    /// A fixed 64 KiB buffer from a SplitMix64 stream.
+    fn seeded_buffer() -> Vec<u8> {
+        let mut state = 0x5354_6F52_4D31_3630u64;
+        let mut buf = vec![0u8; 64 * 1024];
+        for chunk in buf.chunks_exact_mut(8) {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            chunk.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        buf
+    }
+
+    fn fnv1a(data: &[u8]) -> u64 {
+        data.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn known_answer_runs() {
+        // 128 sectors of 512 bytes from each first sector. The constants
+        // were computed with FIPS-197's byte-wise reference rounds and a
+        // byte-carry tweak doubling. The last run ends at sector u64::MAX.
+        const KAT: [(u64, [u8; 16], [u8; 16], u64); 4] = [
+            (
+                0,
+                [
+                    0x4c, 0xc4, 0x92, 0x63, 0x19, 0x57, 0xb6, 0xfa, 0x47, 0xff, 0xec, 0x97, 0xc7,
+                    0xbc, 0xb3, 0x48,
+                ],
+                [
+                    0xad, 0xa4, 0x3d, 0x34, 0xc6, 0xe6, 0xca, 0xce, 0xdd, 0xef, 0x4d, 0x43, 0x50,
+                    0x8d, 0xcd, 0x1b,
+                ],
+                0x79b1_f37b_7873_b068,
+            ),
+            (
+                1,
+                [
+                    0xd6, 0x39, 0x4d, 0xd9, 0xf0, 0x86, 0xac, 0x22, 0xfb, 0xa9, 0x9f, 0x7a, 0x5c,
+                    0x5c, 0x94, 0xe4,
+                ],
+                [
+                    0x25, 0xae, 0x0e, 0xa6, 0xb7, 0x40, 0xe5, 0xd4, 0x66, 0x22, 0x9c, 0x8a, 0x99,
+                    0x9d, 0x26, 0xb0,
+                ],
+                0x4aee_db62_7a73_4ab6,
+            ),
+            (
+                1 << 40,
+                [
+                    0xa4, 0xed, 0xb0, 0x26, 0xe4, 0x6a, 0x39, 0xc8, 0x24, 0x7a, 0x25, 0x28, 0xae,
+                    0xc8, 0xb1, 0xd3,
+                ],
+                [
+                    0x40, 0x0c, 0x81, 0xa0, 0xc7, 0x27, 0xf7, 0xd6, 0x66, 0xe4, 0xff, 0xdf, 0xf1,
+                    0x37, 0x53, 0xc4,
+                ],
+                0x2b75_c86a_ed19_9611,
+            ),
+            (
+                u64::MAX - 127,
+                [
+                    0x43, 0x0c, 0xad, 0x7e, 0x96, 0x7c, 0x36, 0x56, 0xca, 0x03, 0xd1, 0x85, 0xe0,
+                    0x64, 0x07, 0xdd,
+                ],
+                [
+                    0x43, 0xc1, 0xf0, 0x26, 0x02, 0x38, 0x1b, 0xe0, 0x1d, 0x27, 0xfb, 0x4a, 0x7d,
+                    0x87, 0x2e, 0x11,
+                ],
+                0xb851_2714_1344_b5d5,
+            ),
+        ];
+        let xts = cipher();
+        let plain = seeded_buffer();
+        assert_eq!(fnv1a(&plain), 0xe677_71ae_6d5f_1447);
+        for (sector, first, last, hash) in KAT {
+            let mut buf = plain.clone();
+            xts.encrypt_run(sector, 512, &mut buf);
+            assert_eq!(buf[..16], first, "sector {sector:#x}");
+            assert_eq!(buf[buf.len() - 16..], last, "sector {sector:#x}");
+            assert_eq!(fnv1a(&buf), hash, "sector {sector:#x}");
+            xts.decrypt_run(sector, 512, &mut buf);
+            assert!(buf == plain, "sector {sector:#x} does not decrypt");
+        }
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!   so it also works on the passive path where data crosses in arbitrary
 //!   packet-sized pieces.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use bytes::Bytes;
 use storm_core::{Dir, StorageService, SvcCtx};
 use storm_crypto::{AesXts, ChaCha20};
-use storm_iscsi::{Cdb, Pdu};
+use storm_iscsi::{Cdb, Pdu, ScsiResponse, ScsiStatus};
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -28,11 +29,28 @@ pub enum CipherKind {
 }
 
 impl CipherKind {
+    /// The volume byte offset of `len` bytes at `buffer_offset` into a
+    /// command at `lba`, or why the cipher cannot take them. The PDU
+    /// fields come from the tenant's wire, so nothing here may panic.
+    fn locate(&self, lba: u64, buffer_offset: u32, len: usize) -> Result<u64, &'static str> {
+        let vol_offset = lba
+            .checked_mul(512)
+            .and_then(|b| b.checked_add(u64::from(buffer_offset)))
+            .ok_or("volume offset overflows")?;
+        if let CipherKind::AesXts(_) = self {
+            if !buffer_offset.is_multiple_of(512) {
+                return Err("buffer offset is not sector-aligned");
+            }
+            if !len.is_multiple_of(512) {
+                return Err("data is not a whole number of sectors");
+            }
+        }
+        Ok(vol_offset)
+    }
+
     fn apply(&self, encrypt: bool, vol_offset: u64, data: &mut [u8]) {
         match self {
             CipherKind::AesXts(xts) => {
-                debug_assert_eq!(vol_offset % 512, 0, "XTS needs sector alignment");
-                debug_assert_eq!(data.len() % 512, 0, "XTS needs whole sectors");
                 let sector = vol_offset / 512;
                 if encrypt {
                     xts.encrypt_run(sector, 512, data);
@@ -50,6 +68,9 @@ pub struct EncryptionService {
     cipher: CipherKind,
     per_byte: SimDuration,
     cmds: HashMap<u32, u64>,
+    /// Commands failed with CHECK CONDITION: their later PDUs are dropped
+    /// until the itt is reused or the target's status arrives.
+    failed: HashSet<u32>,
     bytes_encrypted: u64,
     bytes_decrypted: u64,
 }
@@ -74,6 +95,7 @@ impl EncryptionService {
             // ~1.5 GB/s single-core cipher throughput.
             per_byte: SimDuration::from_nanos(1),
             cmds: HashMap::new(),
+            failed: HashSet::new(),
             bytes_encrypted: 0,
             bytes_decrypted: 0,
         }
@@ -82,6 +104,28 @@ impl EncryptionService {
     /// Overrides the modelled per-byte CPU cost.
     pub fn set_per_byte_cost(&mut self, cost: SimDuration) {
         self.per_byte = cost;
+    }
+
+    /// Drops a PDU the cipher cannot take, forgets its command and fails
+    /// the command once towards the initiator.
+    fn reject(&mut self, cx: &mut SvcCtx, dir: Dir, itt: u32, why: &str) {
+        self.cmds.remove(&itt);
+        self.failed.insert(itt);
+        cx.alert(format!("encryption: dropped PDU of itt {itt:#x}: {why}"));
+        let status = Pdu::ScsiResponse(ScsiResponse {
+            itt,
+            response: 0,
+            status: ScsiStatus::CheckCondition,
+            stat_sn: 0,
+            exp_cmd_sn: 0,
+            max_cmd_sn: 0,
+            residual: 0,
+            data: Bytes::new(),
+        });
+        match dir {
+            Dir::ToTarget => cx.reply(status),
+            Dir::ToInitiator => cx.forward(status),
+        }
     }
 
     /// `(encrypted, decrypted)` byte counters.
@@ -96,47 +140,52 @@ impl StorageService for EncryptionService {
     }
 
     fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, mut pdu: Pdu) {
-        match (&mut pdu, dir) {
+        let (itt, buffer_offset, data) = match (&mut pdu, dir) {
             (Pdu::ScsiCommand(c), Dir::ToTarget) => {
+                self.failed.remove(&c.itt);
                 if let Ok(Cdb::Read { lba, .. } | Cdb::Write { lba, .. }) = Cdb::parse(&c.cdb) {
                     self.cmds.insert(c.itt, lba);
                 }
-                if !c.data.is_empty() {
-                    // Immediate write data encrypts at buffer offset 0.
-                    if let Some(&lba) = self.cmds.get(&c.itt) {
-                        let mut data = c.data.to_vec();
-                        self.cipher.apply(true, lba * 512, &mut data);
-                        cx.charge(self.per_byte * data.len() as u64);
-                        self.bytes_encrypted += data.len() as u64;
-                        c.data = data.into();
-                    }
-                }
+                // Immediate write data encrypts at buffer offset 0.
+                (c.itt, 0, &mut c.data)
             }
-            (Pdu::DataOut(d), Dir::ToTarget) => {
-                if let Some(&lba) = self.cmds.get(&d.itt) {
-                    let mut data = d.data.to_vec();
-                    self.cipher
-                        .apply(true, lba * 512 + d.buffer_offset as u64, &mut data);
-                    cx.charge(self.per_byte * data.len() as u64);
-                    self.bytes_encrypted += data.len() as u64;
-                    d.data = data.into();
-                }
-            }
-            (Pdu::DataIn(d), Dir::ToInitiator) => {
-                if let Some(&lba) = self.cmds.get(&d.itt) {
-                    let mut data = d.data.to_vec();
-                    self.cipher
-                        .apply(false, lba * 512 + d.buffer_offset as u64, &mut data);
-                    cx.charge(self.per_byte * data.len() as u64);
-                    self.bytes_decrypted += data.len() as u64;
-                    d.data = data.into();
-                }
-            }
+            (Pdu::DataOut(d), Dir::ToTarget) => (d.itt, d.buffer_offset, &mut d.data),
+            (Pdu::DataIn(d), Dir::ToInitiator) => (d.itt, d.buffer_offset, &mut d.data),
             (Pdu::ScsiResponse(r), Dir::ToInitiator) => {
                 self.cmds.remove(&r.itt);
+                // A failed command's initiator already holds its status.
+                if !self.failed.remove(&r.itt) {
+                    cx.forward(pdu);
+                }
+                return;
             }
-            _ => {}
+            _ => {
+                cx.forward(pdu);
+                return;
+            }
+        };
+        if self.failed.contains(&itt) {
+            // Later data of a command already failed: never forward it.
+            return;
         }
+        let lba = match self.cmds.get(&itt) {
+            Some(&lba) if !data.is_empty() => lba,
+            _ => return cx.forward(pdu),
+        };
+        let vol_offset = match self.cipher.locate(lba, buffer_offset, data.len()) {
+            Ok(off) => off,
+            Err(why) => return self.reject(cx, dir, itt, why),
+        };
+        let encrypt = dir == Dir::ToTarget;
+        let mut buf = data.to_vec();
+        self.cipher.apply(encrypt, vol_offset, &mut buf);
+        cx.charge(self.per_byte * buf.len() as u64);
+        if encrypt {
+            self.bytes_encrypted += buf.len() as u64;
+        } else {
+            self.bytes_decrypted += buf.len() as u64;
+        }
+        *data = buf.into();
         cx.forward(pdu);
     }
 
@@ -270,6 +319,144 @@ mod tests {
         let mut direct = plain.clone();
         AesXts::from_master_key(&[0x42; 64]).encrypt_run(100 + 4, 512, &mut direct);
         assert_eq!(&cipher1[..], &direct[..]);
+    }
+
+    fn data_out(itt: u32, buffer_offset: u32, data: Vec<u8>) -> Pdu {
+        Pdu::DataOut(DataOut {
+            final_pdu: true,
+            lun: 0,
+            itt,
+            ttt: 1,
+            exp_stat_sn: 1,
+            data_sn: 0,
+            buffer_offset,
+            data: Bytes::from(data),
+        })
+    }
+
+    /// Asserts the PDU was dropped and its command failed exactly once.
+    fn assert_failed_once(enc: &mut EncryptionService, itt: u32, pdu: Pdu) {
+        let mut cx = SvcCtx::new(SimTime::ZERO);
+        enc.on_pdu(&mut cx, Dir::ToTarget, pdu);
+        let actions = cx.take_actions();
+        assert_eq!(actions.len(), 2, "{actions:?}");
+        assert!(matches!(actions[0], SvcAction::Alert(_)), "{actions:?}");
+        match &actions[1] {
+            SvcAction::Reply(Pdu::ScsiResponse(r)) => {
+                assert_eq!((r.itt, r.status), (itt, ScsiStatus::CheckCondition));
+            }
+            other => panic!("expected a CHECK CONDITION reply, got {other:?}"),
+        }
+        assert!(!enc.cmds.contains_key(&itt), "itt must be forgotten");
+        // The command's later data is dropped too, without a second status.
+        let mut cx = SvcCtx::new(SimTime::ZERO);
+        enc.on_pdu(&mut cx, Dir::ToTarget, data_out(itt, 0, vec![0x33; 512]));
+        assert!(cx.take_actions().is_empty());
+        assert_eq!(enc.counters(), (0, 0));
+    }
+
+    #[test]
+    fn short_data_out_fails_the_command() {
+        let mut enc = svc();
+        let _ = run(&mut enc, Dir::ToTarget, write_cmd(7, 100, Bytes::new()));
+        assert_failed_once(&mut enc, 7, data_out(7, 0, vec![0x5A; 100]));
+    }
+
+    #[test]
+    fn misaligned_buffer_offset_fails_the_command() {
+        let mut enc = svc();
+        let _ = run(&mut enc, Dir::ToTarget, write_cmd(8, 100, Bytes::new()));
+        assert_failed_once(&mut enc, 8, data_out(8, 100, vec![0x5A; 512]));
+    }
+
+    #[test]
+    fn short_immediate_data_fails_the_command() {
+        let mut enc = svc();
+        let mut cmd = write_cmd(9, 100, Bytes::from(vec![0x5A; 512]));
+        if let Pdu::ScsiCommand(c) = &mut cmd {
+            c.data = Bytes::from(vec![0x5A; 100]);
+        }
+        assert_failed_once(&mut enc, 9, cmd);
+    }
+
+    #[test]
+    fn overflowing_volume_offset_fails_the_command() {
+        let mut enc = EncryptionService::stream_cipher(&[7; 32], &[9; 12]);
+        let _ = run(
+            &mut enc,
+            Dir::ToTarget,
+            write_cmd(10, u64::MAX, Bytes::new()),
+        );
+        assert_failed_once(&mut enc, 10, data_out(10, 0, vec![0x5A; 512]));
+    }
+
+    #[test]
+    fn short_data_in_fails_the_command_once() {
+        let mut enc = svc();
+        let read = Pdu::ScsiCommand(ScsiCommand {
+            immediate: false,
+            final_pdu: true,
+            read: true,
+            write: false,
+            lun: 0,
+            itt: 12,
+            edtl: 512,
+            cmd_sn: 1,
+            exp_stat_sn: 1,
+            cdb: Cdb::Read {
+                lba: 100,
+                sectors: 1,
+            }
+            .to_bytes(),
+            data: Bytes::new(),
+        });
+        let _ = run(&mut enc, Dir::ToTarget, read);
+        let din = Pdu::DataIn(DataIn {
+            final_pdu: true,
+            status_present: false,
+            status: ScsiStatus::Good,
+            lun: 0,
+            itt: 12,
+            ttt: 0xFFFF_FFFF,
+            stat_sn: 1,
+            exp_cmd_sn: 2,
+            max_cmd_sn: 66,
+            data_sn: 0,
+            buffer_offset: 0,
+            residual: 0,
+            data: Bytes::from(vec![0x5A; 100]),
+        });
+        // The CHECK CONDITION travels on towards the initiator.
+        match run(&mut enc, Dir::ToInitiator, din) {
+            Pdu::ScsiResponse(r) => assert_eq!(r.status, ScsiStatus::CheckCondition),
+            other => panic!("unexpected {other:?}"),
+        }
+        // The target's own status for the command is not sent a second time.
+        let status = Pdu::ScsiResponse(ScsiResponse {
+            itt: 12,
+            response: 0,
+            status: ScsiStatus::Good,
+            stat_sn: 2,
+            exp_cmd_sn: 2,
+            max_cmd_sn: 66,
+            residual: 0,
+            data: Bytes::new(),
+        });
+        let mut cx = SvcCtx::new(SimTime::ZERO);
+        enc.on_pdu(&mut cx, Dir::ToInitiator, status);
+        assert!(cx.take_actions().is_empty());
+    }
+
+    #[test]
+    fn reused_itt_starts_a_fresh_command() {
+        let mut enc = svc();
+        let _ = run(&mut enc, Dir::ToTarget, write_cmd(11, 100, Bytes::new()));
+        assert_failed_once(&mut enc, 11, data_out(11, 0, vec![0x5A; 100]));
+        let plain = Bytes::from(vec![0x11u8; 512]);
+        match run(&mut enc, Dir::ToTarget, write_cmd(11, 100, plain.clone())) {
+            Pdu::ScsiCommand(c) => assert_ne!(c.data, plain),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
