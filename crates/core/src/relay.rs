@@ -17,6 +17,7 @@
 //! is the active relay's flow-control story.
 
 mod active;
+mod codec;
 mod passive;
 mod queue;
 

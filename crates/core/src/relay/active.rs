@@ -5,16 +5,14 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 
 use storm_iscsi::{
-    Initiator, InitiatorConfig, InitiatorEvent, IoTag, Iqn, Pdu, PduStream, ScsiStatus,
-    SessionParams, SHARE_THRESHOLD,
+    Initiator, InitiatorConfig, InitiatorEvent, IoTag, Iqn, Pdu, ScsiStatus, SessionParams,
 };
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
-use storm_nvmeq::{FrameKind, FrameWire, UnitEntry, FRAME_HDR_LEN, MAGIC};
 use storm_qos::{RateLimitSpec, RateLimiter};
 use storm_sim::trace::{flow_token, req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, SerialResource, SimDuration, SimTime};
 
-use super::queue::{self, NvqPair, UnitOut};
+use super::codec::{ChainUnit, OutUnit, WireCodec};
 use crate::service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
 
 /// A replica volume the middle-box attaches for side I/O (the replication
@@ -141,28 +139,13 @@ enum Side {
     Client,
 }
 
-/// Which wire protocol a relayed flow speaks. Decided by the first byte
-/// the tenant VM sends (nvmeq's frame magic `0xB5` vs iSCSI's login
-/// opcode), exactly like the storage target's portal sniffing — so one
-/// steering rule covers both transports.
-enum PairProto {
-    /// No tenant-side bytes seen yet.
-    Undecided,
-    /// Classic one-command-conversation iSCSI.
-    Iscsi,
-    /// Multi-queue doorbell/completion frames with per-flow ring state.
-    Nvmeq(Box<NvqPair>),
-}
-
 struct FlowPair {
     server: SockId,
     client: SockId,
     /// The flow's original (initiator-side) source port — the request-token
     /// prefix shared with the guest and the target.
     src_port: u16,
-    proto: PairProto,
-    s_stream: PduStream,
-    c_stream: PduStream,
+    proto: WireCodec,
     s_out: SendQueue,
     c_out: SendQueue,
     /// Bytes received from the server side, not yet released upstream.
@@ -199,35 +182,42 @@ struct ReplicaSession {
     timeouts: u32,
 }
 
-/// A PDU headed for a send queue: either the original received wire bytes
-/// (the verbatim-forward fast path — nothing is re-encoded or copied) or a
-/// PDU the chain produced/modified, encoded on release.
+/// A chain output headed for a send queue.
 enum PduOut {
-    Verbatim(Vec<Bytes>),
-    Encode(Pdu),
-    /// An nvmeq frame every unit of which passed the chain untouched:
-    /// the received wire image re-emitted as-is (`units` commands).
-    NvqVerbatim {
-        wire: Vec<Bytes>,
-        units: u64,
-    },
-    /// An nvmeq frame rebuilt from chain outputs (fresh header; entries
-    /// re-encoded as needed; data segments still shared views).
-    NvqFrame {
-        kind: FrameKind,
-        units: Vec<UnitOut>,
-    },
+    /// The received wire image re-emitted as-is, carrying `units`
+    /// commands: nothing is re-encoded or copied.
+    Verbatim { wire: Vec<Bytes>, units: u64 },
+    /// Units to encode in the flow's wire format.
+    Encode(Vec<OutUnit>),
 }
 
-enum Deferred {
-    Release {
-        pair: usize,
-        forwards: Vec<PduOut>,
-        replies: Vec<Pdu>,
-        dir: Dir,
-        replica_ops: Vec<(usize, usize, ReplicaIo, u64)>,
-        input_bytes: usize,
-    },
+/// A side I/O a chain service requested: `(service, replica, io, ctx)`.
+type ReplicaOp = (usize, usize, ReplicaIo, u64);
+
+/// What the service chain made of one ingress message, gathered unit by
+/// unit.
+struct ChainOut {
+    /// Forwards of the units that did not pass untouched (plus, on
+    /// nvmeq, the verbatim units around them, in wire order).
+    forwards: Vec<OutUnit>,
+    /// Whether every unit passed the chain untouched.
+    verbatim: bool,
+    replies: Vec<Pdu>,
+    replica_ops: Vec<ReplicaOp>,
+    /// Relay plus service CPU time.
+    cost: SimDuration,
+}
+
+/// One message's store-and-forward release, held until its processing
+/// completes on the flow's serial resource.
+struct Deferred {
+    pair: usize,
+    dir: Dir,
+    forwards: PduOut,
+    replies: Vec<Pdu>,
+    replica_ops: Vec<ReplicaOp>,
+    /// Persistence-buffer bytes the release drains.
+    input_bytes: usize,
 }
 
 /// Memcpy accounting for the relay datapath (see
@@ -238,12 +228,22 @@ pub struct RelayCopyStats {
     /// reassembly plus small-segment batching on encode. Zero for a
     /// passthrough chain.
     pub data_bytes_copied: u64,
-    /// 48-byte BHS copies (decode scratch) — the allowed fixed-size
-    /// header copies.
+    /// The allowed fixed-size metadata copies: 48-byte BHS decode
+    /// scratch on iSCSI; on nvmeq, frame headers and entries peeked on
+    /// decode plus the fresh headers and re-encoded entries of rebuilt
+    /// frames.
     pub header_bytes_copied: u64,
     /// PDUs that took the verbatim fast path (original wire bytes
     /// forwarded, no re-encode).
     pub verbatim_forwards: u64,
+}
+
+impl RelayCopyStats {
+    fn add(&mut self, o: RelayCopyStats) {
+        self.data_bytes_copied += o.data_bytes_copied;
+        self.header_bytes_copied += o.header_bytes_copied;
+        self.verbatim_forwards += o.verbatim_forwards;
+    }
 }
 
 /// The active-relay middle-box application.
@@ -264,14 +264,9 @@ pub struct ActiveRelayMb {
     next_token: u64,
     alerts: Vec<(SimTime, String)>,
     pdus_forwarded: u64,
-    verbatim_forwards: u64,
-    encode_bytes_copied: u64,
-    /// Fixed-size metadata copies on nvmeq re-framing (fresh frame
-    /// headers + re-encoded entries) — the multi-queue analogue of BHS
-    /// decode scratch.
-    encode_header_bytes: u64,
-    /// Copy counters of streams whose pairs were dropped by a crash.
-    retired_copy_stats: RelayCopyStats,
+    /// Encode-side copies, verbatim forwards, and the reassembly copies
+    /// of pairs a crash dropped (live pairs' streams are summed on read).
+    copies: RelayCopyStats,
     crashed: bool,
     fault: FaultHook,
     fault_mb: u32,
@@ -299,10 +294,7 @@ impl ActiveRelayMb {
             next_token: 1,
             alerts: Vec::new(),
             pdus_forwarded: 0,
-            verbatim_forwards: 0,
-            encode_bytes_copied: 0,
-            encode_header_bytes: 0,
-            retired_copy_stats: RelayCopyStats::default(),
+            copies: RelayCopyStats::default(),
             crashed: false,
             fault: FaultHook::none(),
             fault_mb: 0,
@@ -373,36 +365,11 @@ impl ActiveRelayMb {
     /// on both flow streams plus small-segment batching on encode. Feeds
     /// the `relay.bytes_copied` metric and the zero-copy acceptance test.
     pub fn copy_stats(&self) -> RelayCopyStats {
-        let mut s = self.retired_copy_stats;
-        s.data_bytes_copied += self.encode_bytes_copied;
-        s.header_bytes_copied += self.encode_header_bytes;
-        s.verbatim_forwards += self.verbatim_forwards;
+        let mut s = self.copies;
         for p in &self.pairs {
-            s.data_bytes_copied += p.s_stream.bytes_copied() + p.c_stream.bytes_copied();
-            s.header_bytes_copied +=
-                p.s_stream.header_bytes_copied() + p.c_stream.header_bytes_copied();
-            if let PairProto::Nvmeq(nvq) = &p.proto {
-                s.data_bytes_copied += nvq.s_stream.bytes_copied() + nvq.c_stream.bytes_copied();
-                s.header_bytes_copied +=
-                    nvq.s_stream.header_bytes_copied() + nvq.c_stream.header_bytes_copied();
-            }
+            s.add(p.proto.copy_stats());
         }
         s
-    }
-
-    /// Encodes a PDU onto a send queue as chunks: the header (and a small
-    /// data segment, counted) by copy; a large data segment as a shared
-    /// view of the service's buffer.
-    fn queue_pdu(encode_bytes_copied: &mut u64, q: &mut SendQueue, pdu: &Pdu) {
-        let w = pdu.wire_chunks();
-        q.push(&w.header);
-        if w.data.len() >= SHARE_THRESHOLD {
-            q.push_bytes(w.data);
-        } else {
-            *encode_bytes_copied += w.data.len() as u64;
-            q.push(&w.data);
-        }
-        q.push(w.pad);
     }
 
     /// Access a service by index (use
@@ -423,61 +390,86 @@ impl ActiveRelayMb {
         t
     }
 
-    /// Runs a PDU through the chain, collecting outputs and costs. The
-    /// final element attributes CPU charges to the service that emitted
-    /// them (index, total charge) for latency-attribution traces.
-    #[allow(clippy::type_complexity)]
-    fn run_chain(
+    /// Runs one chain unit through the service chain, in order towards
+    /// the target and in reverse towards the initiator: emits its
+    /// `Hop::Relay` and per-service `Hop::Service` stages, arms service
+    /// timers and gathers outputs and costs into `out`. A unit the chain
+    /// passed untouched (same header bytes, same data storage) stays a
+    /// wire view; the storage-identity check makes that test O(header),
+    /// since a service that rewrote the payload produced new storage.
+    fn run_unit(
         &mut self,
-        now: SimTime,
+        cx: &mut Cx<'_>,
+        pair_idx: usize,
         dir: Dir,
-        pdu: Pdu,
-    ) -> (
-        Vec<Pdu>,
-        Vec<Pdu>,
-        Vec<(usize, usize, ReplicaIo, u64)>,
-        SimDuration,
-        Vec<(usize, SimDuration, u64)>,
-        Vec<(usize, SimDuration)>,
+        unit: ChainUnit,
+        out: &mut ChainOut,
     ) {
-        let order: Vec<usize> = match dir {
-            Dir::ToTarget => (0..self.services.len()).collect(),
-            Dir::ToInitiator => (0..self.services.len()).rev().collect(),
-        };
-        let mut frontier = vec![pdu];
-        let mut replies = Vec::new();
-        let mut replica_ops = Vec::new();
-        let mut cost = self.cfg.per_pdu_cost;
-        let mut timers = Vec::new();
-        let mut svc_costs: Vec<(usize, SimDuration)> = Vec::new();
-        for idx in order {
+        let now = cx.now();
+        let req = req_token(self.pairs[pair_idx].src_port, unit.pdu.itt());
+        self.trace.emit_with(now, || TraceEvent::Stage {
+            req,
+            hop: Hop::Relay,
+            id: self.trace_mb,
+            dur: self.cfg.per_pdu_cost,
+        });
+        out.cost += self.cfg.per_pdu_cost;
+        let n = self.services.len();
+        let mut frontier = vec![unit.pdu];
+        for k in 0..n {
+            let idx = match dir {
+                Dir::ToTarget => k,
+                Dir::ToInitiator => n - 1 - k,
+            };
             let mut next = Vec::new();
             let mut charged = SimDuration::ZERO;
             for p in frontier {
-                let mut cx = SvcCtx::new(now);
-                self.services[idx].on_pdu(&mut cx, dir, p);
-                for action in cx.take_actions() {
+                let mut scx = SvcCtx::new(now);
+                self.services[idx].on_pdu(&mut scx, dir, p);
+                for action in scx.take_actions() {
                     match action {
                         SvcAction::Forward(p) => next.push(p),
-                        SvcAction::Reply(p) => replies.push(p),
+                        SvcAction::Reply(p) => out.replies.push(p),
                         SvcAction::Replica { replica, io, ctx } => {
-                            replica_ops.push((idx, replica, io, ctx))
+                            out.replica_ops.push((idx, replica, io, ctx))
                         }
                         SvcAction::Alert(msg) => self.alerts.push((now, msg)),
-                        SvcAction::Charge(c) => {
-                            cost += c;
-                            charged += c;
+                        SvcAction::Charge(c) => charged += c,
+                        SvcAction::Timer { delay, token } => {
+                            let t = self.token();
+                            self.svc_timers.insert(t, (idx, token));
+                            cx.set_timer(delay, t);
                         }
-                        SvcAction::Timer { delay, token } => timers.push((idx, delay, token)),
                     }
                 }
             }
             if charged > SimDuration::ZERO {
-                svc_costs.push((idx, charged));
+                out.cost += charged;
+                self.trace.emit_with(now, || TraceEvent::Stage {
+                    req,
+                    hop: Hop::Service,
+                    id: idx as u32,
+                    dur: charged,
+                });
             }
             frontier = next;
         }
-        (frontier, replies, replica_ops, cost, timers, svc_costs)
+        if frontier.len() == 1
+            && frontier[0].encode_bhs() == unit.in_bhs
+            && frontier[0].data().same_storage(&unit.in_data)
+        {
+            self.copies.verbatim_forwards += 1;
+            self.pairs[pair_idx].proto.note_verbatim(&frontier[0]);
+            if !unit.entry_wire.is_empty() {
+                out.forwards.push(OutUnit::Verbatim {
+                    entry_wire: unit.entry_wire,
+                    data: unit.in_data,
+                });
+            }
+        } else {
+            out.verbatim = false;
+            out.forwards.extend(frontier.into_iter().map(OutUnit::Pdu));
+        }
     }
 
     /// The flow pair side actions should route to: the originating pair
@@ -504,35 +496,12 @@ impl ActiveRelayMb {
         let now = cx.now();
         for action in actions {
             match action {
-                SvcAction::Reply(p) => {
-                    // Side-context replies flow back towards the initiator
-                    // (e.g. replication serving a read from a replica) —
-                    // on the flow the request came in on.
-                    if let Some(i) = self.route_pair(origin) {
-                        Self::queue_pdu(
-                            &mut self.encode_bytes_copied,
-                            &mut self.pairs[i].s_out,
-                            &p,
-                        );
-                        let server = self.pairs[i].server;
-                        self.pairs[i].s_out.pump(cx, server);
-                        self.pdus_forwarded += 1;
-                    }
-                }
-                SvcAction::Forward(p) => {
-                    // Side-context forwards continue upstream (e.g. a
-                    // failed replica read re-dispatched to the primary).
-                    if let Some(i) = self.route_pair(origin) {
-                        Self::queue_pdu(
-                            &mut self.encode_bytes_copied,
-                            &mut self.pairs[i].c_out,
-                            &p,
-                        );
-                        let client = self.pairs[i].client;
-                        self.pairs[i].c_out.pump(cx, client);
-                        self.pdus_forwarded += 1;
-                    }
-                }
+                // Side-context replies flow back towards the initiator
+                // (replication serving a read from a replica, the cache
+                // acking a journaled write); forwards continue upstream
+                // (a failed replica read re-dispatched to the primary).
+                SvcAction::Reply(p) => self.send_side(cx, origin, Dir::ToInitiator, p),
+                SvcAction::Forward(p) => self.send_side(cx, origin, Dir::ToTarget, p),
                 SvcAction::Replica { replica, io, ctx } => {
                     self.issue_replica(cx, svc_idx, replica, io, ctx, origin);
                 }
@@ -547,6 +516,23 @@ impl ActiveRelayMb {
                 }
             }
         }
+    }
+
+    /// Sends a side-context PDU travelling in `dir` on the flow the
+    /// request came in on, in that flow's wire format.
+    fn send_side(&mut self, cx: &mut Cx<'_>, origin: Option<usize>, dir: Dir, pdu: Pdu) {
+        let Some(i) = self.route_pair(origin) else {
+            return;
+        };
+        let p = &mut self.pairs[i];
+        let (q, sock) = match dir {
+            Dir::ToTarget => (&mut p.c_out, p.client),
+            Dir::ToInitiator => (&mut p.s_out, p.server),
+        };
+        self.pdus_forwarded += p
+            .proto
+            .encode(dir, [OutUnit::Pdu(pdu)], q, &mut self.copies);
+        q.pump(cx, sock);
     }
 
     fn issue_replica(
@@ -656,41 +642,26 @@ impl ActiveRelayMb {
         }
     }
 
+    /// The relay datapath for both transports: decodes received bytes
+    /// into messages (one per iSCSI PDU, one per nvmeq frame), takes the
+    /// fault and QoS decisions once per message, runs each of its chain
+    /// units, and releases the message as one store-and-forward deferral
+    /// — so a doorbell keeps up to `queue_depth` commands in flight while
+    /// the chain still sees one PDU at a time.
     fn handle_pair_data(&mut self, cx: &mut Cx<'_>, pair_idx: usize, side: Side, data: Bytes) {
-        // The tenant VM's first byte decides the flow's wire protocol:
-        // nvmeq frames all start with the magic byte, iSCSI logins never
-        // do. One relay (and one steering rule) serves both transports.
-        {
-            let pair = &mut self.pairs[pair_idx];
-            if matches!(pair.proto, PairProto::Undecided) && side == Side::Server {
-                pair.proto = if data.first() == Some(&MAGIC) {
-                    PairProto::Nvmeq(Box::new(NvqPair::new()))
-                } else {
-                    PairProto::Iscsi
-                };
-            }
-        }
-        if matches!(self.pairs[pair_idx].proto, PairProto::Nvmeq(_)) {
-            self.handle_pair_data_nvq(cx, pair_idx, side, data);
-            return;
-        }
         let now = cx.now();
         let dir = match side {
             Side::Server => Dir::ToTarget,
             Side::Client => Dir::ToInitiator,
         };
-        let pdus = {
+        let msgs = {
             let pair = &mut self.pairs[pair_idx];
             if side == Side::Server {
                 pair.buffered_in += data.len();
             }
-            let stream = match side {
-                Side::Server => &mut pair.s_stream,
-                Side::Client => &mut pair.c_stream,
-            };
-            match stream.feed_bytes(data) {
-                Ok(p) => p,
-                Err(_) => {
+            match pair.proto.decode(side == Side::Client, data) {
+                Some(m) => m,
+                None => {
                     let (s, c) = (pair.server, pair.client);
                     pair.closed = true;
                     cx.abort(s);
@@ -714,9 +685,13 @@ impl ActiveRelayMb {
                 });
             }
         }
-        for pw in pdus {
-            let input_bytes = pw.pdu.wire_len();
-            // Fault injection: an armed plan may drop or slow PDU
+        for msg in msgs {
+            let input_bytes = if side == Side::Server {
+                msg.input_bytes
+            } else {
+                0
+            };
+            // Fault injection: an armed plan may drop or slow message
             // processing inside the middle-box.
             let mut fault_delay = SimDuration::ZERO;
             match self
@@ -726,337 +701,84 @@ impl ActiveRelayMb {
                 FaultAction::Proceed => {}
                 FaultAction::Drop | FaultAction::Fail => {
                     // Keep the persistence-buffer accounting draining.
-                    if side == Side::Server {
-                        let p = &mut self.pairs[pair_idx];
-                        p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
-                    }
+                    let p = &mut self.pairs[pair_idx];
+                    p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
                     continue;
                 }
                 FaultAction::Delay(d) => fault_delay = d,
             }
-            let itt = pw.pdu.itt();
-            // Tenant rate limiting: request-direction PDUs draw from the
-            // token bucket; the shaping delay is queueing (a later serve
-            // start), not CPU, so an under-limit tenant's datapath is
-            // byte-identical to the unlimited one.
+            // Tenant rate limiting: request-direction messages draw from
+            // the token bucket — a doorbell batch is one shaping decision,
+            // matching its one network transfer. The shaping delay is
+            // queueing (a later serve start), not CPU, so an under-limit
+            // tenant's datapath is byte-identical to the unlimited one.
             let qos_delay = match &mut self.limiter {
-                Some(l) if dir == Dir::ToTarget => l.admit(now, input_bytes as u64),
+                Some(l) if dir == Dir::ToTarget => l.admit(now, msg.input_bytes as u64),
                 _ => SimDuration::ZERO,
             };
-            if qos_delay > SimDuration::ZERO && self.trace.is_armed() {
-                let req = req_token(self.pairs[pair_idx].src_port, itt);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Qos,
-                        id: self.trace_mb,
-                        dur: qos_delay,
-                    },
-                );
-            }
-            let (in_bhs, in_data, in_wire) = (pw.bhs, pw.data, pw.wire);
-            let (forwards, replies, replica_ops, cost, timers, svc_costs) =
-                self.run_chain(now, dir, pw.pdu);
-            let cost = cost + fault_delay;
-            // Verbatim-forward fast path: the chain emitted exactly the
-            // PDU it was given (same header bytes, same data storage), so
-            // the original wire image is forwarded and nothing re-encodes.
-            // The storage-identity check makes this O(header): a service
-            // that rewrote the payload necessarily produced new storage.
-            let forwards = if forwards.len() == 1
-                && forwards[0].encode_bhs() == in_bhs
-                && forwards[0].data().same_storage(&in_data)
-            {
-                self.verbatim_forwards += 1;
-                vec![PduOut::Verbatim(in_wire)]
-            } else {
-                forwards.into_iter().map(PduOut::Encode).collect()
-            };
-            if self.trace.is_armed() {
-                let req = req_token(self.pairs[pair_idx].src_port, itt);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Relay,
-                        id: self.trace_mb,
-                        dur: self.cfg.per_pdu_cost,
-                    },
-                );
-                for (svc_idx, charged) in &svc_costs {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::Stage {
-                            req,
-                            hop: Hop::Service,
-                            id: *svc_idx as u32,
-                            dur: *charged,
-                        },
-                    );
-                }
-            }
-            for (svc_idx, delay, token) in timers {
-                let t = self.token();
-                self.svc_timers.insert(t, (svc_idx, token));
-                cx.set_timer(delay, t);
-            }
-            // Account CPU and serialize processing per flow.
-            let _ = cx.charge(cost, &self.cfg.label);
-            let done = self.pairs[pair_idx].proc.serve(now + qos_delay, cost);
-            let token = self.token();
-            self.deferred.insert(
-                token,
-                Deferred::Release {
-                    pair: pair_idx,
-                    forwards,
-                    replies,
-                    dir,
-                    replica_ops,
-                    input_bytes: if side == Side::Server { input_bytes } else { 0 },
-                },
-            );
-            cx.set_timer(done - now, token);
-        }
-    }
-
-    /// The multi-queue datapath: reassembles nvmeq frames, runs every
-    /// command unit of a doorbell/completion frame through the service
-    /// chain, and releases each frame as one store-and-forward deferral —
-    /// so up to `queue_depth` commands stay in flight across the relay
-    /// while the chain still sees one PDU at a time.
-    fn handle_pair_data_nvq(&mut self, cx: &mut Cx<'_>, pair_idx: usize, side: Side, data: Bytes) {
-        let now = cx.now();
-        let dir = match side {
-            Side::Server => Dir::ToTarget,
-            Side::Client => Dir::ToInitiator,
-        };
-        let frames = {
-            let pair = &mut self.pairs[pair_idx];
-            if side == Side::Server {
-                pair.buffered_in += data.len();
-            }
-            let PairProto::Nvmeq(nvq) = &mut pair.proto else {
-                return;
-            };
-            let stream = match side {
-                Side::Server => &mut nvq.s_stream,
-                Side::Client => &mut nvq.c_stream,
-            };
-            match stream.feed_bytes(data) {
-                Ok(f) => f,
-                Err(_) => {
-                    let (s, c) = (pair.server, pair.client);
-                    pair.closed = true;
-                    cx.abort(s);
-                    cx.abort(c);
-                    return;
-                }
-            }
-        };
-        // Backpressure: the persistence buffer is full.
-        {
-            let pair = &mut self.pairs[pair_idx];
-            if side == Side::Server && !pair.paused && pair.buffered_in > self.cfg.buffer_cap {
-                pair.paused = true;
-                let s = pair.server;
-                let src_port = pair.src_port;
-                cx.pause(s);
-                self.trace.emit_with(now, || TraceEvent::Mark {
-                    req: flow_token(src_port),
-                    hop: Hop::Buffer,
+            if qos_delay > SimDuration::ZERO {
+                let req = req_token(self.pairs[pair_idx].src_port, msg.tag);
+                self.trace.emit_with(now, || TraceEvent::Stage {
+                    req,
+                    hop: Hop::Qos,
                     id: self.trace_mb,
+                    dur: qos_delay,
                 });
             }
-        }
-        for fw in frames {
-            let input_bytes = FRAME_HDR_LEN + fw.header.payload_len as usize;
-            let mut fault_delay = SimDuration::ZERO;
-            match self
-                .fault
-                .decide(now, FaultSite::MbProcess { mb: self.fault_mb })
-            {
-                FaultAction::Proceed => {}
-                FaultAction::Drop | FaultAction::Fail => {
-                    if side == Side::Server {
-                        let p = &mut self.pairs[pair_idx];
-                        p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
-                    }
-                    continue;
-                }
-                FaultAction::Delay(d) => fault_delay = d,
-            }
-            // Tenant rate limiting draws one admit per frame — a doorbell
-            // batch is one shaping decision, matching its one network
-            // transfer.
-            let qos_delay = match &mut self.limiter {
-                Some(l) if dir == Dir::ToTarget => l.admit(now, input_bytes as u64),
-                _ => SimDuration::ZERO,
-            };
-            if qos_delay > SimDuration::ZERO && self.trace.is_armed() {
-                let cid = fw.units.first().map_or(0, |u| match &u.entry {
-                    UnitEntry::Sqe(s) => s.cid,
-                    UnitEntry::Cqe(c) => c.cid,
-                });
-                let req = req_token(self.pairs[pair_idx].src_port, cid);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Qos,
-                        id: self.trace_mb,
-                        dur: qos_delay,
-                    },
-                );
-            }
-            let (fout, replies, replica_ops, cost) =
-                if matches!(fw.header.kind, FrameKind::Doorbell | FrameKind::Completion) {
-                    self.run_chain_frame(cx, now, dir, pair_idx, &fw, fault_delay)
+            let n = msg.units.len();
+            let mut out = ChainOut {
+                // A multi-unit frame may re-frame every unit one by one:
+                // size for all of them up front.
+                forwards: Vec::with_capacity(if n > 1 { n } else { 0 }),
+                verbatim: true,
+                replies: Vec::new(),
+                replica_ops: Vec::new(),
+                // Handshake frames bypass the chain: the relay forwards
+                // the connect/disconnect exchange verbatim, like splicing
+                // does for iSCSI login on the passive path.
+                cost: if n == 0 {
+                    self.cfg.per_pdu_cost + fault_delay
                 } else {
-                    // Handshake frames bypass the chain: the relay
-                    // forwards the connect/disconnect exchange verbatim,
-                    // like splicing does for iSCSI login on the passive
-                    // path.
-                    (
-                        PduOut::NvqVerbatim {
-                            wire: fw.wire,
-                            units: 1,
-                        },
-                        Vec::new(),
-                        Vec::new(),
-                        self.cfg.per_pdu_cost + fault_delay,
-                    )
-                };
-            let _ = cx.charge(cost, &self.cfg.label);
-            let done = self.pairs[pair_idx].proc.serve(now + qos_delay, cost);
+                    fault_delay
+                },
+            };
+            let units = (n as u64).max(1);
+            for unit in msg.units {
+                self.run_unit(cx, pair_idx, dir, unit, &mut out);
+            }
+            let forwards = if out.verbatim {
+                PduOut::Verbatim {
+                    wire: msg.wire,
+                    units,
+                }
+            } else {
+                PduOut::Encode(out.forwards)
+            };
+            // Account CPU and serialize processing per flow.
+            let _ = cx.charge(out.cost, &self.cfg.label);
+            let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
             let token = self.token();
             self.deferred.insert(
                 token,
-                Deferred::Release {
+                Deferred {
                     pair: pair_idx,
-                    forwards: vec![fout],
-                    replies,
                     dir,
-                    replica_ops,
-                    input_bytes: if side == Side::Server { input_bytes } else { 0 },
+                    forwards,
+                    replies: out.replies,
+                    replica_ops: out.replica_ops,
+                    input_bytes,
                 },
             );
             cx.set_timer(done - now, token);
         }
-    }
-
-    /// Runs every command unit of one doorbell/completion frame through
-    /// the service chain. Units the chain passes untouched stay wire
-    /// views; if *all* of them do, the whole received frame forwards
-    /// verbatim — the batched analogue of the iSCSI fast path.
-    #[allow(clippy::type_complexity)]
-    fn run_chain_frame(
-        &mut self,
-        cx: &mut Cx<'_>,
-        now: SimTime,
-        dir: Dir,
-        pair_idx: usize,
-        fw: &FrameWire,
-        fault_delay: SimDuration,
-    ) -> (
-        PduOut,
-        Vec<Pdu>,
-        Vec<(usize, usize, ReplicaIo, u64)>,
-        SimDuration,
-    ) {
-        let src_port = self.pairs[pair_idx].src_port;
-        let mut cost = fault_delay;
-        let mut out_units: Vec<UnitOut> = Vec::with_capacity(fw.units.len());
-        let mut replies = Vec::new();
-        let mut replica_ops = Vec::new();
-        let mut frame_verbatim = true;
-        for unit in &fw.units {
-            let pdu = queue::unit_to_pdu(unit);
-            let cid = pdu.itt();
-            let in_bhs = pdu.encode_bhs();
-            let (forwards, mut unit_replies, mut unit_replica, unit_cost, timers, svc_costs) =
-                self.run_chain(now, dir, pdu);
-            cost += unit_cost;
-            if self.trace.is_armed() {
-                let req = req_token(src_port, cid);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Relay,
-                        id: self.trace_mb,
-                        dur: self.cfg.per_pdu_cost,
-                    },
-                );
-                for (svc_idx, charged) in &svc_costs {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::Stage {
-                            req,
-                            hop: Hop::Service,
-                            id: *svc_idx as u32,
-                            dur: *charged,
-                        },
-                    );
-                }
-            }
-            for (svc_idx, delay, token) in timers {
-                let t = self.token();
-                self.svc_timers.insert(t, (svc_idx, token));
-                cx.set_timer(delay, t);
-            }
-            let verbatim = forwards.len() == 1
-                && forwards[0].encode_bhs() == in_bhs
-                && forwards[0].data().same_storage(&unit.data);
-            let PairProto::Nvmeq(nvq) = &mut self.pairs[pair_idx].proto else {
-                return (
-                    PduOut::NvqVerbatim {
-                        wire: Vec::new(),
-                        units: 0,
-                    },
-                    replies,
-                    replica_ops,
-                    cost,
-                );
-            };
-            if verbatim {
-                self.verbatim_forwards += 1;
-                queue::note_verbatim(unit, nvq);
-                out_units.push(UnitOut::Verbatim {
-                    entry_wire: unit.entry_wire.clone(),
-                    data: unit.data.clone(),
-                });
-            } else {
-                frame_verbatim = false;
-                for f in &forwards {
-                    if let Some(u) = queue::pdu_to_unit(dir, f, nvq) {
-                        out_units.push(u);
-                    }
-                }
-            }
-            replies.append(&mut unit_replies);
-            replica_ops.append(&mut unit_replica);
-        }
-        let fout = if frame_verbatim {
-            PduOut::NvqVerbatim {
-                wire: fw.wire.clone(),
-                units: (fw.units.len() as u64).max(1),
-            }
-        } else {
-            PduOut::NvqFrame {
-                kind: fw.header.kind,
-                units: out_units,
-            }
-        };
-        (fout, replies, replica_ops, cost)
     }
 
     fn release(&mut self, cx: &mut Cx<'_>, d: Deferred) {
-        let Deferred::Release {
+        let Deferred {
             pair,
+            dir,
             forwards,
             replies,
-            dir,
             replica_ops,
             input_bytes,
         } = d;
@@ -1066,63 +788,23 @@ impl ActiveRelayMb {
         for (svc_idx, replica, io, ctx) in replica_ops {
             self.issue_replica(cx, svc_idx, replica, io, ctx, Some(pair));
         }
-        let copied = &mut self.encode_bytes_copied;
-        let hdr_copied = &mut self.encode_header_bytes;
         let p = &mut self.pairs[pair];
-        for f in forwards {
-            let q = match dir {
-                Dir::ToTarget => &mut p.c_out,
-                Dir::ToInitiator => &mut p.s_out,
-            };
-            match f {
-                PduOut::Verbatim(chunks) => {
-                    self.pdus_forwarded += 1;
-                    q.push_all(chunks);
-                }
-                PduOut::Encode(pdu) => {
-                    self.pdus_forwarded += 1;
-                    Self::queue_pdu(copied, q, &pdu);
-                }
-                PduOut::NvqVerbatim { wire, units } => {
-                    self.pdus_forwarded += units;
-                    q.push_all(wire);
-                }
-                PduOut::NvqFrame { kind, units } => {
-                    self.pdus_forwarded += units.len() as u64;
-                    queue::queue_frame(kind, units, q, copied, hdr_copied);
-                }
+        let (ahead, back) = match dir {
+            Dir::ToTarget => (&mut p.c_out, &mut p.s_out),
+            Dir::ToInitiator => (&mut p.s_out, &mut p.c_out),
+        };
+        self.pdus_forwarded += match forwards {
+            PduOut::Verbatim { wire, units } => {
+                ahead.push_all(wire);
+                units
             }
-        }
+            PduOut::Encode(units) => p.proto.encode(dir, units, ahead, &mut self.copies),
+        };
         if !replies.is_empty() {
-            if let PairProto::Nvmeq(nvq) = &mut p.proto {
-                // Chain replies on a multi-queue flow coalesce into one
-                // frame headed back where the triggering frame came from.
-                let units: Vec<UnitOut> = replies
-                    .iter()
-                    .filter_map(|r| queue::pdu_to_unit(dir.flip(), r, nvq))
-                    .collect();
-                if !units.is_empty() {
-                    let kind = match dir {
-                        Dir::ToTarget => FrameKind::Completion,
-                        Dir::ToInitiator => FrameKind::Doorbell,
-                    };
-                    let q = match dir {
-                        Dir::ToTarget => &mut p.s_out,
-                        Dir::ToInitiator => &mut p.c_out,
-                    };
-                    self.pdus_forwarded += units.len() as u64;
-                    queue::queue_frame(kind, units, q, copied, hdr_copied);
-                }
-            } else {
-                for r in replies {
-                    self.pdus_forwarded += 1;
-                    let q = match dir {
-                        Dir::ToTarget => &mut p.s_out,
-                        Dir::ToInitiator => &mut p.c_out,
-                    };
-                    Self::queue_pdu(copied, q, &r);
-                }
-            }
+            // Chain replies head back where the message came from (on
+            // nvmeq, coalesced into one frame).
+            let replies = replies.into_iter().map(OutUnit::Pdu);
+            self.pdus_forwarded += p.proto.encode(dir.flip(), replies, back, &mut self.copies);
         }
         let (server, client) = (p.server, p.client);
         p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
@@ -1130,9 +812,8 @@ impl ActiveRelayMb {
         if resume {
             p.paused = false;
         }
-        let pr = &mut self.pairs[pair];
-        pr.c_out.pump(cx, client);
-        pr.s_out.pump(cx, server);
+        p.c_out.pump(cx, client);
+        p.s_out.pump(cx, server);
         if resume {
             cx.resume(server);
         }
@@ -1225,16 +906,7 @@ impl ActiveRelayMb {
                 cx.abort(pair.server);
                 cx.abort(pair.client);
             }
-            self.retired_copy_stats.data_bytes_copied +=
-                pair.s_stream.bytes_copied() + pair.c_stream.bytes_copied();
-            self.retired_copy_stats.header_bytes_copied +=
-                pair.s_stream.header_bytes_copied() + pair.c_stream.header_bytes_copied();
-            if let PairProto::Nvmeq(nvq) = &pair.proto {
-                self.retired_copy_stats.data_bytes_copied +=
-                    nvq.s_stream.bytes_copied() + nvq.c_stream.bytes_copied();
-                self.retired_copy_stats.header_bytes_copied +=
-                    nvq.s_stream.header_bytes_copied() + nvq.c_stream.header_bytes_copied();
-            }
+            self.copies.add(pair.proto.copy_stats());
         }
         self.pairs.clear();
         self.by_sock.clear();
@@ -1342,9 +1014,7 @@ impl App for ActiveRelayMb {
             server: sock,
             client,
             src_port: src_port.unwrap_or(0),
-            proto: PairProto::Undecided,
-            s_stream: PduStream::new(),
-            c_stream: PduStream::new(),
+            proto: WireCodec::Undecided,
             s_out: SendQueue::new(),
             c_out: SendQueue::new(),
             buffered_in: 0,

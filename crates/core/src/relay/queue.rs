@@ -1,4 +1,4 @@
-//! nvmeq ↔ PDU bridging: the active relay's multi-queue datapath.
+//! nvmeq ↔ PDU bridging: the nvmeq half of the relay's wire codec.
 //!
 //! The service chain speaks iSCSI [`Pdu`]s; the nvmeq transport speaks
 //! doorbell/completion frames carrying batches of fixed-size entries.
@@ -15,19 +15,22 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use storm_iscsi::{Cdb, DataIn, Pdu, ScsiCommand, ScsiResponse, SHARE_THRESHOLD};
+use storm_iscsi::{Cdb, DataIn, Pdu, ScsiCommand, ScsiResponse, ScsiStatus, SHARE_THRESHOLD};
 use storm_net::SendQueue;
 use storm_nvmeq::{
-    Cqe, FrameHeader, FrameKind, FrameStream, Sqe, SqeOp, UnitEntry, UnitWire, CQE_LEN,
+    Cqe, FrameHeader, FrameKind, FrameStream, FrameWire, Sqe, SqeOp, UnitEntry, UnitWire, CQE_LEN,
     FRAME_HDR_LEN, SQE_LEN,
 };
 
+use super::active::RelayCopyStats;
+use super::codec::{ChainUnit, Ingress, OutUnit};
 use crate::service::Dir;
 
-/// Per-flow multi-queue relay state: one frame reassembler per leg plus
-/// the in-flight command table (cid → opcode) that lets completions
+/// Per-flow multi-queue relay state: one frame reassembler per leg, the
+/// in-flight command table (cid → opcode) that lets completions
 /// produced by services (which only know the SCSI shape) re-encode with
-/// the correct opcode echo.
+/// the correct opcode echo, and the non-final Data-In segments of reads
+/// a service is serving, held until the final one closes the CQE.
 #[derive(Debug, Default)]
 pub(crate) struct NvqPair {
     /// Reassembler for the tenant-VM leg (doorbell frames).
@@ -35,6 +38,7 @@ pub(crate) struct NvqPair {
     /// Reassembler for the upstream leg (completion frames).
     pub c_stream: FrameStream,
     inflight: HashMap<u32, SqeOp>,
+    held: HashMap<u32, Vec<Bytes>>,
 }
 
 impl NvqPair {
@@ -52,6 +56,27 @@ impl NvqPair {
     /// opcode, if the submission was seen.
     pub fn complete(&mut self, cid: u32) -> Option<SqeOp> {
         self.inflight.remove(&cid)
+    }
+
+    /// Keeps the in-flight table current for a unit the chain passed
+    /// through verbatim (the fast path skips [`pdu_to_unit`] entirely);
+    /// `pdu` is the unit's synthetic PDU from [`unit_to_pdu`].
+    pub fn note_verbatim(&mut self, pdu: &Pdu) {
+        match pdu {
+            Pdu::ScsiCommand(c) => {
+                let op = if c.read {
+                    SqeOp::Read
+                } else if c.write {
+                    SqeOp::Write
+                } else {
+                    SqeOp::Flush
+                };
+                self.note_submit(c.itt, op);
+            }
+            other => {
+                self.complete(other.itt());
+            }
+        }
     }
 }
 
@@ -77,7 +102,10 @@ pub(crate) enum UnitOut {
     Cqe {
         /// The entry.
         cqe: Cqe,
-        /// Read payload.
+        /// Leading read-payload segments from earlier non-final Data-In
+        /// PDUs (shared views; empty for a single-segment read).
+        head: Vec<Bytes>,
+        /// Read payload (its last segment).
         data: Bytes,
     },
 }
@@ -91,12 +119,37 @@ impl UnitOut {
         }
     }
 
-    fn data(&self) -> &Bytes {
+    fn data_len(&self) -> usize {
         match self {
-            UnitOut::Verbatim { data, .. }
-            | UnitOut::Sqe { data, .. }
-            | UnitOut::Cqe { data, .. } => data,
+            UnitOut::Verbatim { data, .. } | UnitOut::Sqe { data, .. } => data.len(),
+            UnitOut::Cqe { head, data, .. } => {
+                head.iter().map(Bytes::len).sum::<usize>() + data.len()
+            }
         }
+    }
+}
+
+/// Decodes one received frame into a relay message: one chain unit per
+/// doorbell/completion entry, none for a handshake frame.
+pub(crate) fn frame_ingress(fw: FrameWire) -> Ingress {
+    let units: Vec<ChainUnit> = fw
+        .units
+        .into_iter()
+        .map(|u| {
+            let pdu = unit_to_pdu(&u);
+            ChainUnit {
+                in_bhs: pdu.encode_bhs(),
+                pdu,
+                in_data: u.data,
+                entry_wire: u.entry_wire,
+            }
+        })
+        .collect();
+    Ingress {
+        input_bytes: FRAME_HDR_LEN + fw.header.payload_len as usize,
+        tag: units.first().map_or(0, |u| u.pdu.itt()),
+        wire: fw.wire,
+        units,
     }
 }
 
@@ -174,9 +227,11 @@ pub(crate) fn unit_to_pdu(unit: &UnitWire) -> Pdu {
 }
 
 /// Maps a chain-produced PDU back to a wire unit for the outbound frame,
-/// maintaining the pair's in-flight table. PDU shapes with no multi-queue
-/// equivalent (R2T, NOPs, text) return `None` and are dropped — no chain
-/// service emits them on the relay datapath.
+/// maintaining the pair's in-flight table. A Data-In that is not final
+/// with status is held and returns `None`: the read's closing Data-In or
+/// SCSI Response emits one CQE carrying every held segment. PDU shapes with no
+/// multi-queue equivalent (R2T, NOPs, text) return `None` and are
+/// dropped — no chain service emits them on the relay datapath.
 pub(crate) fn pdu_to_unit(dir: Dir, pdu: &Pdu, pair: &mut NvqPair) -> Option<UnitOut> {
     match dir {
         Dir::ToTarget => {
@@ -222,42 +277,77 @@ pub(crate) fn pdu_to_unit(dir: Dir, pdu: &Pdu, pair: &mut NvqPair) -> Option<Uni
         Dir::ToInitiator => match pdu {
             Pdu::DataIn(d) if d.final_pdu && d.status_present => {
                 pair.complete(d.itt);
-                Some(UnitOut::Cqe {
-                    cqe: Cqe {
-                        cid: d.itt,
-                        status: d.status,
-                        op: SqeOp::Read,
-                        data_len: d.data.len() as u32,
-                    },
-                    data: d.data.clone(),
-                })
+                Some(completion(
+                    pair,
+                    d.itt,
+                    d.status,
+                    SqeOp::Read,
+                    d.data.clone(),
+                ))
+            }
+            Pdu::DataIn(d) => {
+                pair.held.entry(d.itt).or_default().push(d.data.clone());
+                None
             }
             Pdu::ScsiResponse(r) => {
                 let op = pair.complete(r.itt).unwrap_or(SqeOp::Write);
-                Some(UnitOut::Cqe {
-                    cqe: Cqe {
-                        cid: r.itt,
-                        status: r.status,
-                        op,
-                        data_len: 0,
-                    },
-                    data: Bytes::new(),
-                })
+                Some(completion(pair, r.itt, r.status, op, Bytes::new()))
             }
             _ => None,
         },
     }
 }
 
-/// Keeps the pair's in-flight table current for a unit the chain passed
-/// through verbatim (the fast path skips [`pdu_to_unit`] entirely).
-pub(crate) fn note_verbatim(unit: &UnitWire, pair: &mut NvqPair) {
-    match &unit.entry {
-        UnitEntry::Sqe(sqe) => pair.note_submit(sqe.cid, sqe.op),
-        UnitEntry::Cqe(cqe) => {
-            pair.complete(cqe.cid);
-        }
+/// A completion for `cid` whose payload is the Data-In segments held for
+/// it followed by `data`, all as shared views.
+fn completion(pair: &mut NvqPair, cid: u32, status: ScsiStatus, op: SqeOp, data: Bytes) -> UnitOut {
+    let head = pair.held.remove(&cid).unwrap_or_default();
+    let held: usize = head.iter().map(Bytes::len).sum();
+    UnitOut::Cqe {
+        cqe: Cqe {
+            cid,
+            status,
+            op,
+            data_len: (held + data.len()) as u32,
+        },
+        head,
+        data,
     }
+}
+
+/// Encodes `units` travelling in `dir` as one frame — a doorbell towards
+/// the target, a completion towards the tenant — and returns the units
+/// written. Nothing is sent when no unit maps to the wire.
+pub(crate) fn encode_frame(
+    dir: Dir,
+    units: impl IntoIterator<Item = OutUnit>,
+    pair: &mut NvqPair,
+    q: &mut SendQueue,
+    copies: &mut RelayCopyStats,
+) -> u64 {
+    let units: Vec<UnitOut> = units
+        .into_iter()
+        .filter_map(|u| match u {
+            OutUnit::Pdu(pdu) => pdu_to_unit(dir, &pdu, pair),
+            OutUnit::Verbatim { entry_wire, data } => Some(UnitOut::Verbatim { entry_wire, data }),
+        })
+        .collect();
+    if units.is_empty() {
+        return 0;
+    }
+    let kind = match dir {
+        Dir::ToTarget => FrameKind::Doorbell,
+        Dir::ToInitiator => FrameKind::Completion,
+    };
+    let n = units.len() as u64;
+    queue_frame(
+        kind,
+        units,
+        q,
+        &mut copies.data_bytes_copied,
+        &mut copies.header_bytes_copied,
+    );
+    n
 }
 
 /// Assembles one outbound frame — fresh header, entry block, then data
@@ -273,7 +363,7 @@ pub(crate) fn queue_frame(
     data_copied: &mut u64,
     header_copied: &mut u64,
 ) {
-    let payload_len: usize = units.iter().map(|u| u.entry_len() + u.data().len()).sum();
+    let payload_len: usize = units.iter().map(|u| u.entry_len() + u.data_len()).sum();
     let header = FrameHeader {
         kind,
         count: units.len() as u16,
@@ -299,15 +389,25 @@ pub(crate) fn queue_frame(
     for u in units {
         match u {
             UnitOut::Verbatim { data, .. } => q.push_bytes(data),
-            UnitOut::Sqe { data, .. } | UnitOut::Cqe { data, .. } => {
-                if data.len() >= SHARE_THRESHOLD {
-                    q.push_bytes(data);
-                } else {
-                    *data_copied += data.len() as u64;
-                    q.push(&data);
+            UnitOut::Sqe { data, .. } => push_data(q, data, data_copied),
+            UnitOut::Cqe { head, data, .. } => {
+                for seg in head {
+                    push_data(q, seg, data_copied);
                 }
+                push_data(q, data, data_copied);
             }
         }
+    }
+}
+
+/// Queues one chain-produced data segment: shared when large, batched by
+/// (counted) copy when small.
+fn push_data(q: &mut SendQueue, data: Bytes, data_copied: &mut u64) {
+    if data.len() >= SHARE_THRESHOLD {
+        q.push_bytes(data);
+    } else {
+        *data_copied += data.len() as u64;
+        q.push(&data);
     }
 }
 
@@ -383,7 +483,7 @@ mod tests {
         assert!(d.status_present && d.final_pdu);
         let out = pdu_to_unit(Dir::ToInitiator, &pdu, &mut pair).expect("round-trips");
         match out {
-            UnitOut::Cqe { cqe: c, data } => {
+            UnitOut::Cqe { cqe: c, data, .. } => {
                 assert_eq!(c, cqe);
                 assert!(data.same_storage(&u.data));
             }
@@ -414,6 +514,47 @@ mod tests {
             Some(UnitOut::Cqe { cqe, .. }) => assert_eq!(cqe.op, SqeOp::Write),
             other => panic!("expected a CQE, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn data_in_train_leaves_as_one_cqe_of_chained_views() {
+        let mut pair = NvqPair::new();
+        let payload = Bytes::from(vec![0x3Cu8; 96 * 1024]);
+        let seg = |off: usize, end: usize, last: bool| {
+            Pdu::DataIn(DataIn {
+                final_pdu: last,
+                status_present: last,
+                status: ScsiStatus::Good,
+                lun: 0,
+                itt: 4,
+                ttt: 0xffff_ffff,
+                stat_sn: 0,
+                exp_cmd_sn: 0,
+                max_cmd_sn: 0,
+                data_sn: 0,
+                buffer_offset: off as u32,
+                residual: 0,
+                data: payload.slice(off..end),
+            })
+        };
+        let first = seg(0, 64 * 1024, false);
+        assert!(pdu_to_unit(Dir::ToInitiator, &first, &mut pair).is_none());
+        let last = seg(64 * 1024, payload.len(), true);
+        let unit = pdu_to_unit(Dir::ToInitiator, &last, &mut pair).expect("closes the read");
+        match &unit {
+            UnitOut::Cqe { cqe, head, data } => {
+                assert_eq!((cqe.cid, cqe.op), (4, SqeOp::Read));
+                assert_eq!(cqe.data_len as usize, payload.len());
+                assert_eq!(head.len(), 1);
+                assert_eq!(head[0].len() + data.len(), payload.len());
+            }
+            other => panic!("expected a CQE, got {other:?}"),
+        }
+        let mut q = SendQueue::new();
+        let (mut dc, mut hc) = (0u64, 0u64);
+        queue_frame(FrameKind::Completion, vec![unit], &mut q, &mut dc, &mut hc);
+        assert_eq!(dc, 0, "segments travel as shared views");
+        assert_eq!(q.backlog(), FRAME_HDR_LEN + CQE_LEN + payload.len());
     }
 
     #[test]

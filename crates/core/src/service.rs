@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 
-use storm_iscsi::Pdu;
+use storm_iscsi::{DataIn, Pdu, ScsiStatus};
 use storm_sim::{SimDuration, SimTime};
 
 /// Direction of travel through the middle-box.
@@ -110,6 +110,40 @@ impl SvcCtx {
     /// Replies back towards the source.
     pub fn reply(&mut self, pdu: Pdu) {
         self.actions.push(SvcAction::Reply(pdu));
+    }
+
+    /// Serves a read locally: replies with `data` as a Data-In train of
+    /// at most 64 KiB segments (shared views of `data`), the last one
+    /// final with GOOD status.
+    pub fn reply_read(&mut self, itt: u32, data: Bytes) {
+        const SEGMENT: usize = 64 * 1024;
+        let total = data.len();
+        let mut off = 0;
+        let mut data_sn = 0;
+        loop {
+            let end = (off + SEGMENT).min(total);
+            let last = end == total;
+            self.reply(Pdu::DataIn(DataIn {
+                final_pdu: last,
+                status_present: last,
+                status: ScsiStatus::Good,
+                lun: 0,
+                itt,
+                ttt: 0xFFFF_FFFF,
+                stat_sn: 0,
+                exp_cmd_sn: 0,
+                max_cmd_sn: 0,
+                data_sn,
+                buffer_offset: off as u32,
+                residual: 0,
+                data: data.slice(off..end),
+            }));
+            if last {
+                return;
+            }
+            data_sn += 1;
+            off = end;
+        }
     }
 
     /// Issues a replica write.

@@ -91,6 +91,7 @@ impl Default for Config {
             determinism_files: ["crates/bench/src/fleet.rs"].map(String::from).to_vec(),
             datapath_files: [
                 "crates/core/src/relay/active.rs",
+                "crates/core/src/relay/codec.rs",
                 "crates/core/src/relay/queue.rs",
                 "crates/iscsi/src/stream.rs",
                 "crates/nvmeq/src/stream.rs",
@@ -107,15 +108,17 @@ impl Default for Config {
             // The curation line: these functions move bytes per PDU and
             // are allocation-free today — the rule locks that in.
             // Deliberately absent: the chain orchestrators
-            // (`run_chain`, `handle_pair_data*`, `release`, ...) whose
-            // contract is to *produce* new PDUs and side actions, and
-            // the wire-image extractors (`take_wire`, `extract`,
-            // `split_units`, `next_frame`) which return owned buffers
-            // by design.
+            // (`run_unit`, `handle_pair_data`, `release`, ...) whose
+            // contract is to *produce* new PDUs and side actions, the
+            // relay codec's message and frame builders (`decode`,
+            // `frame_ingress`, `encode_frame`), and the wire-image
+            // extractors (`take_wire`, `extract`, `split_units`,
+            // `next_frame`) which return owned buffers by design.
             alloc_roots: [
-                ("crates/core/src/relay/active.rs", "queue_pdu"),
+                ("crates/core/src/relay/codec.rs", "queue_pdu"),
                 ("crates/core/src/relay/queue.rs", "note_submit"),
                 ("crates/core/src/relay/queue.rs", "complete"),
+                ("crates/core/src/relay/queue.rs", "note_verbatim"),
                 ("crates/iscsi/src/stream.rs", "feed_bytes"),
                 ("crates/iscsi/src/stream.rs", "push_chunk"),
                 ("crates/iscsi/src/stream.rs", "peek_into"),

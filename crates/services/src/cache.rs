@@ -322,38 +322,6 @@ impl WriteBackCacheService {
         (lba..lba + sectors as u64).all(|s| self.sectors.contains_key(&s))
     }
 
-    /// Synthesizes the Data-In + status train for a cache-served read.
-    fn synth_read_reply(cx: &mut SvcCtx, itt: u32, data: Bytes) {
-        let total = data.len();
-        let chunk = 64 * 1024;
-        let mut off = 0;
-        let mut data_sn = 0;
-        loop {
-            let end = (off + chunk).min(total);
-            let last = end == total;
-            cx.reply(Pdu::DataIn(DataIn {
-                final_pdu: last,
-                status_present: last,
-                status: ScsiStatus::Good,
-                lun: 0,
-                itt,
-                ttt: 0xFFFF_FFFF,
-                stat_sn: 0,
-                exp_cmd_sn: 0,
-                max_cmd_sn: 0,
-                data_sn,
-                buffer_offset: off as u32,
-                residual: 0,
-                data: data.slice(off..end),
-            }));
-            if last {
-                break;
-            }
-            data_sn += 1;
-            off = end;
-        }
-    }
-
     fn ack_write(cx: &mut SvcCtx, itt: u32) {
         cx.reply(Pdu::ScsiResponse(ScsiResponse {
             itt,
@@ -649,7 +617,7 @@ impl WriteBackCacheService {
                 }
                 self.touch(s);
             }
-            Self::synth_read_reply(cx, c.itt, buf.freeze());
+            cx.reply_read(c.itt, buf.freeze());
             return;
         }
         self.stats.read_misses += 1;

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, DataIn, Pdu, ScsiCommand, ScsiStatus};
+use storm_iscsi::{Cdb, Pdu, ScsiCommand};
 use storm_sim::SimDuration;
 
 /// Counters for the experiment harness.
@@ -124,38 +124,6 @@ impl ReplicationService {
             }
         }
     }
-
-    /// Synthesizes the Data-In + status train for a replica-served read.
-    fn synth_read_reply(cx: &mut SvcCtx, itt: u32, data: Bytes) {
-        let total = data.len();
-        let chunk = 64 * 1024;
-        let mut off = 0;
-        let mut data_sn = 0;
-        loop {
-            let end = (off + chunk).min(total);
-            let last = end == total;
-            cx.reply(Pdu::DataIn(DataIn {
-                final_pdu: last,
-                status_present: last,
-                status: ScsiStatus::Good,
-                lun: 0,
-                itt,
-                ttt: 0xFFFF_FFFF,
-                stat_sn: 0,
-                exp_cmd_sn: 0,
-                max_cmd_sn: 0,
-                data_sn,
-                buffer_offset: off as u32,
-                residual: 0,
-                data: data.slice(off..end),
-            }));
-            if last {
-                break;
-            }
-            data_sn += 1;
-            off = end;
-        }
-    }
 }
 
 impl StorageService for ReplicationService {
@@ -252,7 +220,7 @@ impl StorageService for ReplicationService {
         }
         if let Some(pending) = pending {
             if ok {
-                Self::synth_read_reply(cx, pending.cmd.itt, data);
+                cx.reply_read(pending.cmd.itt, data);
             } else {
                 // Retry: another replica, else fall back to the primary.
                 // `pick_read_source` only ever returns alive replicas.
@@ -343,6 +311,7 @@ impl std::fmt::Debug for ReplicationService {
 mod tests {
     use super::*;
     use storm_core::service::{ReplicaIo, SvcAction};
+    use storm_iscsi::ScsiStatus;
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Pdu {

@@ -1,16 +1,45 @@
 //! End-to-end service tests: the paper's three case studies running in
-//! middle-boxes on the full spliced path.
+//! middle-boxes on the full spliced path. The active-relay cases run over
+//! both guest transports: the relay's wire codec must carry every service
+//! output — chain forwards, chain replies and side-context replies — in
+//! the flow's own format.
 
 use bytes::Bytes;
 use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{FsOp, FsTargetKind, MbSpec, Reconstructor, RelayMode, StormPlatform};
+use storm::core::{
+    ChainDeployment, FsOp, FsTargetKind, MbSpec, Reconstructor, RelayMode, StormPlatform,
+};
+use storm::iscsi::TransportKind;
 use storm::services::{
-    DedupService, EncryptionService, MonitorConfig, MonitorService, ReplicationService,
+    CacheConfig, DedupService, EncryptionService, MonitorConfig, MonitorService,
+    ReplicationService, WriteBackCacheService,
 };
 use storm::workloads::{malware, postmark, TraceWorkload};
 use storm_block::BlockDevice;
 use storm_sim::{SimDuration, SimRng, SimTime};
+
+/// Both guest transports the active relay bridges.
+const TRANSPORTS: [TransportKind; 2] = [TransportKind::Iscsi, TransportKind::Nvmeq];
+
+/// A cloud whose guests speak `transport`.
+fn cloud_over(transport: TransportKind, storage_hosts: usize) -> Cloud {
+    Cloud::build(CloudConfig {
+        storage_hosts,
+        transport,
+        ..CloudConfig::default()
+    })
+}
+
+/// The deployment's first middle-box.
+fn relay_of<'a>(cloud: &'a mut Cloud, deployment: &ChainDeployment) -> &'a mut ActiveRelayMb {
+    cloud
+        .net
+        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
+        .unwrap()
+        .downcast_mut::<ActiveRelayMb>()
+        .unwrap()
+}
 
 struct VerifyWorkload {
     wrote: Option<ReqId>,
@@ -56,7 +85,13 @@ impl Workload for VerifyWorkload {
 /// Case 2 (encryption): plaintext in the VM, ciphertext at rest.
 #[test]
 fn encryption_middlebox_encrypts_at_rest() {
-    let mut cloud = Cloud::build(CloudConfig::default());
+    for transport in TRANSPORTS {
+        encryption_round_trip(transport);
+    }
+}
+
+fn encryption_round_trip(transport: TransportKind) {
+    let mut cloud = cloud_over(transport, 1);
     let platform = StormPlatform::default();
     let vol = cloud.create_volume(64 << 20, 0);
     let enc = EncryptionService::aes_xts(&[0x5C; 64]);
@@ -78,24 +113,26 @@ fn encryption_middlebox_encrypts_at_rest() {
     );
     cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
     let client = cloud.client_mut(0, app);
+    assert_eq!(client.transport().kind(), transport);
     assert!(
         client
             .workload_ref()
             .unwrap()
             .downcast_ref::<VerifyWorkload>()
             .unwrap()
-            .verified
+            .verified,
+        "{transport:?}: read-back failed"
     );
     // At rest: the backing volume holds ciphertext, not the pattern.
     let mut shared = vol.shared.clone();
     let mut at_rest = vec![0u8; 32 * 1024];
     shared.read(4096, &mut at_rest).unwrap();
     let plain: Vec<u8> = (0..32 * 1024).map(|i| ((i * 3 + 11) % 251) as u8).collect();
-    assert_ne!(at_rest, plain, "volume must hold ciphertext");
+    assert_ne!(at_rest, plain, "{transport:?}: volume must hold ciphertext");
     // Decrypting at rest with the tenant key yields the plaintext.
     let xts = storm_crypto::AesXts::from_master_key(&[0x5C; 64]);
     xts.decrypt_run(4096, 512, &mut at_rest);
-    assert_eq!(at_rest, plain);
+    assert_eq!(at_rest, plain, "{transport:?}");
 }
 
 /// Case 2 on the passive path: the stream cipher transforms packets in
@@ -332,9 +369,11 @@ fn replication_mirrors_and_survives_replica_failure() {
 }
 
 /// Writes a fixed set of `(lba, payload)` pairs one at a time, then
-/// reads each back and verifies the bytes byte-for-byte.
+/// reads them all back `read_rounds` times and verifies the bytes
+/// byte-for-byte.
 struct WriteReadVerify {
     ops: Vec<(u64, Bytes)>,
+    read_rounds: usize,
     next_write: usize,
     next_read: usize,
     verified: bool,
@@ -342,8 +381,13 @@ struct WriteReadVerify {
 
 impl WriteReadVerify {
     fn new(ops: Vec<(u64, Bytes)>) -> Self {
+        Self::with_read_rounds(ops, 1)
+    }
+
+    fn with_read_rounds(ops: Vec<(u64, Bytes)>, read_rounds: usize) -> Self {
         WriteReadVerify {
             ops,
+            read_rounds,
             next_write: 0,
             next_read: 0,
             verified: false,
@@ -361,11 +405,11 @@ impl Workload for WriteReadVerify {
     fn completed(&mut self, io: &mut IoCtx<'_>, _req: ReqId, kind: IoKind, result: IoResult) {
         assert!(result.ok, "I/O failed");
         if kind == IoKind::Read {
-            let (_, expected) = &self.ops[self.next_read - 1];
+            let (_, expected) = &self.ops[(self.next_read - 1) % self.ops.len()];
             assert_eq!(
                 &result.data[..],
                 &expected[..],
-                "read-back mismatch at op {}",
+                "read-back mismatch at read {}",
                 self.next_read - 1
             );
         }
@@ -373,8 +417,8 @@ impl Workload for WriteReadVerify {
             let (lba, data) = self.ops[self.next_write].clone();
             self.next_write += 1;
             io.write(lba, data);
-        } else if self.next_read < self.ops.len() {
-            let (lba, data) = self.ops[self.next_read].clone();
+        } else if self.next_read < self.ops.len() * self.read_rounds {
+            let (lba, data) = self.ops[self.next_read % self.ops.len()].clone();
             self.next_read += 1;
             io.read(lba, (data.len() / 512) as u32);
         } else {
@@ -384,10 +428,144 @@ impl Workload for WriteReadVerify {
     }
 }
 
+/// Whether client `app`'s [`WriteReadVerify`] finished and verified.
+fn verified(cloud: &mut Cloud, app: storm::net::AppId) -> bool {
+    cloud
+        .client_mut(0, app)
+        .workload_ref()
+        .unwrap()
+        .downcast_ref::<WriteReadVerify>()
+        .unwrap()
+        .verified
+}
+
+/// A 4 KiB and a 128 KiB patterned payload: the second needs a
+/// multi-segment Data-In train when a service serves it locally.
+fn small_and_large_ops() -> Vec<(u64, Bytes)> {
+    let pattern = |n: usize, salt: usize| -> Bytes {
+        (0..n)
+            .map(|i| ((i * 7 + salt) % 253) as u8)
+            .collect::<Vec<u8>>()
+            .into()
+    };
+    vec![(0, pattern(4096, 1)), (512, pattern(128 * 1024, 2))]
+}
+
+/// Case 3 (replication), read side: with read striping on, successive
+/// reads rotate over the primary and both replicas, and a read a replica
+/// serves reaches the guest as a reply the middle-box synthesizes — at
+/// 4 KiB and as a two-segment 128 KiB train.
+#[test]
+fn replication_serves_reads_from_replicas() {
+    for transport in TRANSPORTS {
+        let mut cloud = cloud_over(transport, 3);
+        let platform = StormPlatform::default();
+        let vol = cloud.create_volume(64 << 20, 0);
+        let rep1 = cloud.create_volume(64 << 20, 1);
+        let rep2 = cloud.create_volume(64 << 20, 2);
+        let mbs = vec![MbSpec {
+            host_idx: 3,
+            mode: RelayMode::Active,
+            services: vec![Box::new(ReplicationService::new(2, true))],
+            replicas: vec![
+                ReplicaTarget {
+                    portal: rep1.portal,
+                    iqn: rep1.iqn.clone(),
+                },
+                ReplicaTarget {
+                    portal: rep2.portal,
+                    iqn: rep2.iqn.clone(),
+                },
+            ],
+        }];
+        let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
+        let app = platform.attach_volume_steered(
+            &mut cloud,
+            &deployment,
+            0,
+            "vm:replica-reads",
+            &vol,
+            Box::new(WriteReadVerify::with_read_rounds(small_and_large_ops(), 3)),
+            12,
+            false,
+        );
+        cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
+        assert!(
+            verified(&mut cloud, app),
+            "{transport:?}: replica-served reads must complete with the written bytes"
+        );
+        let svc = relay_of(&mut cloud, &deployment)
+            .service(0)
+            .unwrap()
+            .downcast_ref::<ReplicationService>()
+            .unwrap()
+            .stats;
+        assert_eq!(svc.striped_reads, 4, "{transport:?}: {svc:?}");
+        assert_eq!(svc.primary_reads, 2, "{transport:?}: {svc:?}");
+    }
+}
+
+/// The write-back cache absorbs writes (acked from a side context once
+/// the journal commit lands) and serves full hits itself, including a
+/// 128 KiB hit that leaves as a two-segment Data-In train.
+#[test]
+fn write_back_cache_acks_writes_and_serves_hits() {
+    for transport in TRANSPORTS {
+        let mut cloud = cloud_over(transport, 2);
+        let platform = StormPlatform::default();
+        let vol = cloud.create_volume(64 << 20, 0);
+        let journal = cloud.create_volume(16 << 20, 1);
+        let mbs = vec![MbSpec {
+            host_idx: 3,
+            mode: RelayMode::Active,
+            services: vec![Box::new(WriteBackCacheService::new(CacheConfig::default()))],
+            replicas: vec![
+                ReplicaTarget {
+                    portal: journal.portal,
+                    iqn: journal.iqn.clone(),
+                },
+                ReplicaTarget {
+                    portal: vol.portal,
+                    iqn: vol.iqn.clone(),
+                },
+            ],
+        }];
+        let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
+        let app = platform.attach_volume_steered(
+            &mut cloud,
+            &deployment,
+            0,
+            "vm:cache",
+            &vol,
+            Box::new(WriteReadVerify::new(small_and_large_ops())),
+            13,
+            false,
+        );
+        cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
+        assert!(
+            verified(&mut cloud, app),
+            "{transport:?}: cached writes must be acked and hits served intact"
+        );
+        let stats = relay_of(&mut cloud, &deployment)
+            .service(0)
+            .unwrap()
+            .downcast_ref::<WriteBackCacheService>()
+            .unwrap()
+            .stats;
+        assert_eq!(stats.writes_absorbed, 2, "{transport:?}: {stats:?}");
+        assert_eq!(stats.read_hits, 2, "{transport:?}: {stats:?}");
+        assert_eq!(stats.read_misses, 0, "{transport:?}: {stats:?}");
+    }
+}
+
 /// Runs `ops` through an armed dedup middle-box, verifies every byte
 /// round-trips and survives at rest, and returns the service's stats.
-fn dedup_roundtrip(seed: u64, ops: Vec<(u64, Bytes)>) -> storm::services::DedupStats {
-    let mut cloud = Cloud::build(CloudConfig::default());
+fn dedup_roundtrip(
+    transport: TransportKind,
+    seed: u64,
+    ops: Vec<(u64, Bytes)>,
+) -> storm::services::DedupStats {
+    let mut cloud = cloud_over(transport, 1);
     let platform = StormPlatform::default();
     let vol = cloud.create_volume(64 << 20, 0);
     let svc = DedupService::new(seed, 12);
@@ -408,29 +586,22 @@ fn dedup_roundtrip(seed: u64, ops: Vec<(u64, Bytes)>) -> storm::services::DedupS
         false,
     );
     cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
     assert!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<WriteReadVerify>()
-            .unwrap()
-            .verified
+        verified(&mut cloud, app),
+        "{transport:?}: dedup read-back failed"
     );
     // Dedup is inspection-only: the exact bytes sit at rest.
     let mut shared = vol.shared.clone();
     for (lba, data) in &ops {
         let mut at_rest = vec![0u8; data.len()];
         shared.read(*lba, &mut at_rest).unwrap();
-        assert_eq!(&at_rest[..], &data[..], "at-rest bytes diverge at {lba}");
+        assert_eq!(
+            &at_rest[..],
+            &data[..],
+            "{transport:?}: at-rest bytes diverge at {lba}"
+        );
     }
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    relay
+    relay_of(&mut cloud, &deployment)
         .service(0)
         .unwrap()
         .downcast_ref::<DedupService>()
@@ -462,12 +633,14 @@ fn dedup_reduces_duplicate_heavy_workload() {
         (192, a),
         (256, b),
     ];
-    let stats = dedup_roundtrip(21, ops);
-    assert!(stats.duplicate_chunks > 0, "{stats:?}");
-    assert!(
-        stats.reduction_ratio() >= 1.5,
-        "duplicate-heavy ratio too low: {stats:?}"
-    );
+    for transport in TRANSPORTS {
+        let stats = dedup_roundtrip(transport, 21, ops.clone());
+        assert!(stats.duplicate_chunks > 0, "{transport:?}: {stats:?}");
+        assert!(
+            stats.reduction_ratio() >= 1.5,
+            "{transport:?}: duplicate-heavy ratio too low: {stats:?}"
+        );
+    }
 }
 
 /// Unique, incompressible workload through the dedup middle-box: random
@@ -476,16 +649,21 @@ fn dedup_reduces_duplicate_heavy_workload() {
 #[test]
 fn dedup_is_honest_on_incompressible_workload() {
     let mut rng = SimRng::seed_from_u64(0xD2D2);
-    let ops = (0..5)
+    let ops: Vec<(u64, Bytes)> = (0..5)
         .map(|i| (i * 64, random_payload(&mut rng, 32 * 1024)))
         .collect();
-    let stats = dedup_roundtrip(22, ops);
-    assert_eq!(stats.duplicate_chunks, 0, "{stats:?}");
-    assert!(
-        stats.reduction_ratio() < 1.01,
-        "unique data must not dedup: {stats:?}"
-    );
-    assert!(stats.chunks > 5, "CDC must cut sub-payload chunks");
+    for transport in TRANSPORTS {
+        let stats = dedup_roundtrip(transport, 22, ops.clone());
+        assert_eq!(stats.duplicate_chunks, 0, "{transport:?}: {stats:?}");
+        assert!(
+            stats.reduction_ratio() < 1.01,
+            "{transport:?}: unique data must not dedup: {stats:?}"
+        );
+        assert!(
+            stats.chunks > 5,
+            "{transport:?}: CDC must cut sub-payload chunks"
+        );
+    }
 }
 
 /// Service chaining (paper §II-B): monitor + encryption in ONE middle-box;
