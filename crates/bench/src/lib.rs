@@ -200,20 +200,32 @@ pub fn fio_point_traced(
 }
 
 /// Drives an attached client to the end of the measurement window (plus
-/// drain slack) and folds its stats into a [`FioPoint`]. Every scenario
-/// runner funnels through here so the window arithmetic and the
-/// ready/error acceptance checks live in exactly one place.
+/// drain slack) and folds its stats into a [`FioPoint`].
 fn run_and_measure(cloud: &mut Cloud, app: AppId, testbed: &Testbed, label: &str) -> FioPoint {
     let start = cloud.net.now();
     let end = start + testbed.duration + SimDuration::from_secs(2);
     cloud.net.run_until(SimTime::from_nanos(end.as_nanos()));
-    let client = cloud.client_mut(0, app);
+    client_point(cloud, 0, app, testbed.duration, label)
+}
+
+/// Folds the stats of client `app` on compute host `host` into a
+/// [`FioPoint`] over a `window`-long measurement. Every scenario runner
+/// funnels through here, so the ready/error acceptance checks and the
+/// fold live in exactly one place.
+fn client_point(
+    cloud: &mut Cloud,
+    host: usize,
+    app: AppId,
+    window: SimDuration,
+    label: &str,
+) -> FioPoint {
+    let client = cloud.client_mut(host, app);
     assert!(client.is_ready(), "login failed in {label}");
     assert_eq!(client.stats.errors, 0, "I/O errors in {label}");
     let ops = client.stats.ops();
     FioPoint {
         ops,
-        iops: ops as f64 / testbed.duration.as_secs_f64(),
+        iops: ops as f64 / window.as_secs_f64(),
         mean_latency_ms: client.stats.latency.mean().as_nanos() as f64 / 1e6,
         p50_ms: client.stats.latency.percentile(50.0).as_nanos() as f64 / 1e6,
         p99_ms: client.stats.latency.percentile(99.0).as_nanos() as f64 / 1e6,

@@ -23,7 +23,7 @@ use storm_sim::{SimDuration, SimTime};
 use storm_telemetry::analyze;
 use storm_workloads::{FioJob, FioWorkload};
 
-use crate::{build_cloud, FioPoint, Testbed};
+use crate::{build_cloud, client_point, FioPoint, Testbed};
 
 /// Aggressor IOPS cap in the shaped run.
 const AGGRESSOR_IOPS: u64 = 200;
@@ -81,20 +81,6 @@ pub struct ChurnOutcome {
     pub overload_rejected: bool,
     /// The tier the SLO'd volume ended the run on.
     pub final_tier: DiskTier,
-}
-
-fn point_from(cloud: &mut Cloud, host: usize, app: AppId, duration: SimDuration) -> FioPoint {
-    let client = cloud.client_mut(host, app);
-    assert!(client.is_ready(), "login failed (host {host})");
-    assert_eq!(client.stats.errors, 0, "I/O errors (host {host})");
-    let ops = client.stats.ops();
-    FioPoint {
-        ops,
-        iops: ops as f64 / duration.as_secs_f64(),
-        mean_latency_ms: client.stats.latency.mean().as_nanos() as f64 / 1e6,
-        p50_ms: client.stats.latency.percentile(50.0).as_nanos() as f64 / 1e6,
-        p99_ms: client.stats.latency.percentile(99.0).as_nanos() as f64 / 1e6,
-    }
 }
 
 fn drive_logins(cloud: &mut Cloud, apps: &[(usize, AppId)]) {
@@ -162,8 +148,9 @@ fn interference_case(
     let end = cloud.net.now() + testbed.duration + SimDuration::from_secs(2);
     cloud.net.run_until(SimTime::from_nanos(end.as_nanos()));
     let (throttled, _) = cloud.target_mut(0).qos_throttle_stats();
-    let victim_point = point_from(&mut cloud, 0, victim, testbed.duration);
-    let aggr_point = aggressor.map(|app| point_from(&mut cloud, 1, app, testbed.duration));
+    let victim_point = client_point(&mut cloud, 0, victim, testbed.duration, "the victim");
+    let aggr_point =
+        aggressor.map(|app| client_point(&mut cloud, 1, app, testbed.duration, "the aggressor"));
     (victim_point, aggr_point, throttled)
 }
 
@@ -270,7 +257,7 @@ pub fn provisioning_churn_point(testbed: &Testbed) -> ChurnOutcome {
         (t.completed_migrations(), attainment, tier)
     };
     ChurnOutcome {
-        point: point_from(&mut cloud, 0, watched_app, testbed.duration),
+        point: client_point(&mut cloud, 0, watched_app, testbed.duration, "churn"),
         migrations_started: engine.migrations_started(),
         migrations_completed,
         slo_attainment,

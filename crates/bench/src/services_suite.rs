@@ -25,7 +25,7 @@ use storm_services::{
 use storm_sim::{SimDuration, SimRng, SimTime};
 use storm_workloads::{FioJob, FioWorkload};
 
-use crate::{FioPoint, PassthroughPoint, Testbed};
+use crate::{client_point, FioPoint, PassthroughPoint, Testbed};
 
 /// Cloud for the suite scenarios: the standard compute layout plus a
 /// second storage host that exports the cache's journal volume.
@@ -38,21 +38,6 @@ fn build_suite_cloud(seed: u64) -> Cloud {
     };
     cfg.target.disk.prewarmed = true;
     Cloud::build(cfg)
-}
-
-/// Reads the measured point back out of the tenant client.
-fn client_point(cloud: &mut Cloud, app: storm_net::AppId, elapsed: SimDuration) -> FioPoint {
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "login failed in suite scenario");
-    assert_eq!(client.stats.errors, 0, "I/O errors in suite scenario");
-    let ops = client.stats.ops();
-    FioPoint {
-        ops,
-        iops: ops as f64 / elapsed.as_secs_f64(),
-        mean_latency_ms: client.stats.latency.mean().as_nanos() as f64 / 1e6,
-        p50_ms: client.stats.latency.percentile(50.0).as_nanos() as f64 / 1e6,
-        p99_ms: client.stats.latency.percentile(99.0).as_nanos() as f64 / 1e6,
-    }
 }
 
 /// 4 KiB blocks: writes a hot set once, then reads it repeatedly with a
@@ -170,7 +155,7 @@ pub fn cache_hit_point(testbed: &Testbed) -> CacheHitOutcome {
     cloud
         .net
         .run_until(SimTime::from_nanos((start + horizon).as_nanos()));
-    let point = client_point(&mut cloud, app, horizon);
+    let point = client_point(&mut cloud, 0, app, horizon, "suite scenario");
     let relay = cloud
         .net
         .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
@@ -285,7 +270,7 @@ pub fn dedup_ratio_point(testbed: &Testbed) -> DedupRatioOutcome {
     cloud
         .net
         .run_until(SimTime::from_nanos((start + horizon).as_nanos()));
-    let point = client_point(&mut cloud, app, horizon);
+    let point = client_point(&mut cloud, 0, app, horizon, "suite scenario");
     let relay = cloud
         .net
         .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
@@ -354,7 +339,7 @@ pub fn suite_passthrough_point(
     let start = cloud.net.now();
     let end = start + testbed.duration + SimDuration::from_secs(2);
     cloud.net.run_until(SimTime::from_nanos(end.as_nanos()));
-    let point = client_point(&mut cloud, app, testbed.duration);
+    let point = client_point(&mut cloud, 0, app, testbed.duration, "suite scenario");
     let relay = cloud
         .net
         .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())

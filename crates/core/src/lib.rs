@@ -42,5 +42,5 @@ pub use relay::{
     RelayQosConfig, RetryPolicy,
 };
 pub use semantics::{FsAccess, FsOp, FsTargetKind, Reconstructor};
-pub use service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
+pub use service::{Cmd, CmdOp, CmdTable, Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
 pub use splice::GatewayPair;

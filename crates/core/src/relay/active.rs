@@ -13,7 +13,7 @@ use storm_sim::trace::{flow_token, req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, SerialResource, SimDuration, SimTime};
 
 use super::codec::{ChainUnit, OutUnit, WireCodec};
-use crate::service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
+use crate::service::{CmdTable, Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
 
 /// A replica volume the middle-box attaches for side I/O (the replication
 /// service's backup volumes).
@@ -146,6 +146,8 @@ struct FlowPair {
     /// prefix shared with the guest and the target.
     src_port: u16,
     proto: WireCodec,
+    /// The flow's open commands, by itt.
+    cmds: CmdTable,
     s_out: SendQueue,
     c_out: SendQueue,
     /// Bytes received from the server side, not yet released upstream.
@@ -202,7 +204,7 @@ struct ChainOut {
     forwards: Vec<OutUnit>,
     /// Whether every unit passed the chain untouched.
     verbatim: bool,
-    replies: Vec<Pdu>,
+    replies: Vec<OutUnit>,
     replica_ops: Vec<ReplicaOp>,
     /// Relay plus service CPU time.
     cost: SimDuration,
@@ -214,7 +216,7 @@ struct Deferred {
     pair: usize,
     dir: Dir,
     forwards: PduOut,
-    replies: Vec<Pdu>,
+    replies: Vec<OutUnit>,
     replica_ops: Vec<ReplicaOp>,
     /// Persistence-buffer bytes the release drains.
     input_bytes: usize,
@@ -262,6 +264,8 @@ pub struct ActiveRelayMb {
     retries: HashMap<u64, (usize, PendingIo)>,
     limiter: Option<RateLimiter>,
     next_token: u64,
+    /// Keys handed out to commands, unique across the relay's flows.
+    cmd_keys: u64,
     alerts: Vec<(SimTime, String)>,
     pdus_forwarded: u64,
     /// Encode-side copies, verbatim forwards, and the reassembly copies
@@ -292,6 +296,7 @@ impl ActiveRelayMb {
             watchdogs: HashMap::new(),
             retries: HashMap::new(),
             next_token: 1,
+            cmd_keys: 0,
             alerts: Vec::new(),
             pdus_forwarded: 0,
             copies: RelayCopyStats::default(),
@@ -372,6 +377,12 @@ impl ActiveRelayMb {
         s
     }
 
+    /// Commands open across the relay's flows: opened as they head to
+    /// the target, retired when their final status leaves.
+    pub fn open_commands(&self) -> usize {
+        self.pairs.iter().map(|p| p.cmds.by_itt.len()).sum()
+    }
+
     /// Access a service by index (use
     /// [`StorageService::downcast_ref`](crate::service::StorageService)
     /// to read concrete state).
@@ -391,12 +402,13 @@ impl ActiveRelayMb {
     }
 
     /// Runs one chain unit through the service chain, in order towards
-    /// the target and in reverse towards the initiator: emits its
-    /// `Hop::Relay` and per-service `Hop::Service` stages, arms service
-    /// timers and gathers outputs and costs into `out`. A unit the chain
-    /// passed untouched (same header bytes, same data storage) stays a
-    /// wire view; the storage-identity check makes that test O(header),
-    /// since a service that rewrote the payload produced new storage.
+    /// the target and in reverse towards the initiator, each service
+    /// seeing the unit's command: emits its `Hop::Relay` and per-service
+    /// `Hop::Service` stages, arms service timers and gathers outputs and
+    /// costs into `out`. A unit the chain passed untouched (same header
+    /// bytes, same data storage) stays a wire view; the storage-identity
+    /// check makes that test O(header), since a service that rewrote the
+    /// payload produced new storage.
     fn run_unit(
         &mut self,
         cx: &mut Cx<'_>,
@@ -406,7 +418,13 @@ impl ActiveRelayMb {
         out: &mut ChainOut,
     ) {
         let now = cx.now();
-        let req = req_token(self.pairs[pair_idx].src_port, unit.pdu.itt());
+        let itt = unit.pdu.itt();
+        let req = req_token(self.pairs[pair_idx].src_port, itt);
+        let cmds = &mut self.pairs[pair_idx].cmds;
+        let cmd = match unit.cmd {
+            Some(fresh) => Some(cmds.open(itt, fresh, &mut self.cmd_keys)),
+            None => cmds.get(itt),
+        };
         self.trace.emit_with(now, || TraceEvent::Stage {
             req,
             hop: Hop::Relay,
@@ -424,12 +442,15 @@ impl ActiveRelayMb {
             let mut next = Vec::new();
             let mut charged = SimDuration::ZERO;
             for p in frontier {
-                let mut scx = SvcCtx::new(now);
+                let mut scx = SvcCtx::new(now).with_cmd(cmd);
                 self.services[idx].on_pdu(&mut scx, dir, p);
                 for action in scx.take_actions() {
                     match action {
                         SvcAction::Forward(p) => next.push(p),
-                        SvcAction::Reply(p) => out.replies.push(p),
+                        SvcAction::Reply(p) => {
+                            let cmds = &mut self.pairs[pair_idx].cmds;
+                            out.replies.push(outbound(cmds, dir.flip(), p));
+                        }
                         SvcAction::Replica { replica, io, ctx } => {
                             out.replica_ops.push((idx, replica, io, ctx))
                         }
@@ -454,12 +475,13 @@ impl ActiveRelayMb {
             }
             frontier = next;
         }
+        let cmds = &mut self.pairs[pair_idx].cmds;
         if frontier.len() == 1
             && frontier[0].encode_bhs() == unit.in_bhs
             && frontier[0].data().same_storage(&unit.in_data)
         {
             self.copies.verbatim_forwards += 1;
-            self.pairs[pair_idx].proto.note_verbatim(&frontier[0]);
+            cmds.leave(dir, &frontier[0]);
             if !unit.entry_wire.is_empty() {
                 out.forwards.push(OutUnit::Verbatim {
                     entry_wire: unit.entry_wire,
@@ -468,7 +490,8 @@ impl ActiveRelayMb {
             }
         } else {
             out.verbatim = false;
-            out.forwards.extend(frontier.into_iter().map(OutUnit::Pdu));
+            let forwards = frontier.into_iter().map(|p| outbound(cmds, dir, p));
+            out.forwards.extend(forwards);
         }
     }
 
@@ -525,13 +548,12 @@ impl ActiveRelayMb {
             return;
         };
         let p = &mut self.pairs[i];
+        let unit = outbound(&mut p.cmds, dir, pdu);
         let (q, sock) = match dir {
             Dir::ToTarget => (&mut p.c_out, p.client),
             Dir::ToInitiator => (&mut p.s_out, p.server),
         };
-        self.pdus_forwarded += p
-            .proto
-            .encode(dir, [OutUnit::Pdu(pdu)], q, &mut self.copies);
+        self.pdus_forwarded += p.proto.encode(dir, [unit], q, &mut self.copies);
         q.pump(cx, sock);
     }
 
@@ -803,7 +825,6 @@ impl ActiveRelayMb {
         if !replies.is_empty() {
             // Chain replies head back where the message came from (on
             // nvmeq, coalesced into one frame).
-            let replies = replies.into_iter().map(OutUnit::Pdu);
             self.pdus_forwarded += p.proto.encode(dir.flip(), replies, back, &mut self.copies);
         }
         let (server, client) = (p.server, p.client);
@@ -966,6 +987,13 @@ impl ActiveRelayMb {
     }
 }
 
+/// An outbound PDU travelling in `dir` with the command it belongs to; a
+/// final status leaving towards the initiator retires that command.
+fn outbound(cmds: &mut CmdTable, dir: Dir, pdu: Pdu) -> OutUnit {
+    let cmd = cmds.leave(dir, &pdu);
+    OutUnit::Pdu(pdu, cmd)
+}
+
 impl App for ActiveRelayMb {
     fn on_start(&mut self, cx: &mut Cx<'_>) {
         cx.listen(self.cfg.listen_port);
@@ -1015,6 +1043,7 @@ impl App for ActiveRelayMb {
             client,
             src_port: src_port.unwrap_or(0),
             proto: WireCodec::Undecided,
+            cmds: CmdTable::default(),
             s_out: SendQueue::new(),
             c_out: SendQueue::new(),
             buffered_in: 0,

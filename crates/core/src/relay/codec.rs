@@ -22,7 +22,7 @@ use storm_nvmeq::{FrameWire, MAGIC};
 
 use super::active::RelayCopyStats;
 use super::queue::{self, NvqPair};
-use crate::service::Dir;
+use crate::service::{Cmd, Dir};
 
 /// A flow's wire protocol together with its reassembly state.
 pub(crate) enum WireCodec {
@@ -47,6 +47,9 @@ pub(crate) struct ChainUnit {
     /// chain passes the unit untouched. Empty on iSCSI, where only the
     /// whole message can forward verbatim.
     pub entry_wire: Bytes,
+    /// The command a unit heading to the target opens (`key` unset),
+    /// read once from the iSCSI CDB or the nvmeq SQE.
+    pub cmd: Option<Cmd>,
 }
 
 /// One decoded message: the granularity of the relay's fault, QoS and
@@ -79,6 +82,7 @@ impl Iterator for Decoded {
                 tag: pw.pdu.itt(),
                 wire: pw.wire,
                 units: vec![ChainUnit {
+                    cmd: Cmd::of_scsi(&pw.pdu),
                     pdu: pw.pdu,
                     in_bhs: pw.bhs,
                     in_data: pw.data,
@@ -92,8 +96,9 @@ impl Iterator for Decoded {
 
 /// One outbound unit handed to the encoder.
 pub(crate) enum OutUnit {
-    /// A PDU to encode in the flow's wire format.
-    Pdu(Pdu),
+    /// A PDU to encode in the flow's wire format, with the command it
+    /// belongs to (an nvmeq entry takes its opcode from it).
+    Pdu(Pdu, Option<Cmd>),
     /// nvmeq: a received unit the chain passed untouched, re-framed from
     /// its entry and data views.
     Verbatim { entry_wire: Bytes, data: Bytes },
@@ -105,7 +110,7 @@ impl WireCodec {
     pub fn decode(&mut self, upstream: bool, data: Bytes) -> Option<Decoded> {
         if matches!(self, WireCodec::Undecided) {
             *self = if data.first() == Some(&MAGIC) {
-                WireCodec::Nvmeq(Box::new(NvqPair::new()))
+                WireCodec::Nvmeq(Box::default())
             } else {
                 WireCodec::Iscsi {
                     s: PduStream::new(),
@@ -137,14 +142,6 @@ impl WireCodec {
         }
     }
 
-    /// Keeps nvmeq ring state current for a unit the chain forwarded
-    /// verbatim (`pdu` is that unit, unchanged).
-    pub fn note_verbatim(&mut self, pdu: &Pdu) {
-        if let WireCodec::Nvmeq(nvq) = self {
-            nvq.note_verbatim(pdu);
-        }
-    }
-
     /// Encodes `units` travelling in `dir` onto `q` — iSCSI PDUs one by
     /// one, or one nvmeq frame — and returns the command units written.
     pub fn encode(
@@ -160,7 +157,7 @@ impl WireCodec {
                 let mut n = 0;
                 for u in units {
                     // Verbatim units only exist on framed flows.
-                    if let OutUnit::Pdu(pdu) = u {
+                    if let OutUnit::Pdu(pdu, _) = u {
                         queue_pdu(&mut copies.data_bytes_copied, q, &pdu);
                         n += 1;
                     }

@@ -165,6 +165,10 @@ impl WireTracker {
                 // Data-Out / Data-In: buffer offset at bytes 40..44.
                 let buf_off = u32::from_be_bytes(h[40..44].try_into().expect("4 bytes"));
                 let vol = shared_cmds.get(&itt).map(|lba| lba * 512 + buf_off as u64);
+                // A Data-In with the S bit carries the read's final status.
+                if opcode == 0x25 && h[1] & 0x01 != 0 {
+                    shared_cmds.remove(&itt);
+                }
                 DataCtx { vol_offset: vol }
             }
             0x21 => {
@@ -318,7 +322,7 @@ impl std::fmt::Debug for PassiveTap {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use storm_iscsi::{DataOut, Pdu, ScsiCommand};
+    use storm_iscsi::{DataIn, DataOut, Pdu, ScsiCommand, ScsiStatus};
 
     fn write_cmd(itt: u32, lba: u64, edtl: u32, imm: &[u8]) -> Vec<u8> {
         Pdu::ScsiCommand(ScsiCommand {
@@ -399,6 +403,58 @@ mod tests {
         let runs = t.walk(&dout, &mut cmds);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].1, 50 * 512 + 1024);
+    }
+
+    #[test]
+    fn read_status_data_in_retires_its_command() {
+        let (mut tx, mut rx) = (WireTracker::new(), WireTracker::new());
+        let mut cmds = HashMap::new();
+        let read = Pdu::ScsiCommand(ScsiCommand {
+            immediate: false,
+            final_pdu: true,
+            read: true,
+            write: false,
+            lun: 0,
+            itt: 4,
+            edtl: 1024,
+            cmd_sn: 1,
+            exp_stat_sn: 1,
+            cdb: Cdb::Read {
+                lba: 70,
+                sectors: 2,
+            }
+            .to_bytes(),
+            data: Bytes::new(),
+        })
+        .encode();
+        assert!(tx.walk(&read, &mut cmds).is_empty());
+        let data_in = |final_pdu: bool, buffer_offset: u32| {
+            Pdu::DataIn(DataIn {
+                final_pdu,
+                status_present: final_pdu,
+                status: ScsiStatus::Good,
+                lun: 0,
+                itt: 4,
+                ttt: 0xFFFF_FFFF,
+                stat_sn: 1,
+                exp_cmd_sn: 2,
+                max_cmd_sn: 66,
+                data_sn: 0,
+                buffer_offset,
+                residual: 0,
+                data: Bytes::from(vec![0xDD; 512]),
+            })
+            .encode()
+        };
+        // A non-final segment leaves the command open...
+        let runs = rx.walk(&data_in(false, 0), &mut cmds);
+        assert_eq!(runs[0].1, 70 * 512);
+        assert_eq!(cmds.len(), 1);
+        // ...and the final one, carrying status, still resolves its
+        // offset, then retires the command.
+        let runs = rx.walk(&data_in(true, 512), &mut cmds);
+        assert_eq!(runs[0].1, 70 * 512 + 512);
+        assert!(cmds.is_empty(), "reads must not leak entries: {cmds:?}");
     }
 
     #[test]

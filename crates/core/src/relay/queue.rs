@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use storm_iscsi::{Cdb, DataIn, Pdu, ScsiCommand, ScsiResponse, ScsiStatus, SHARE_THRESHOLD};
+use storm_iscsi::{Cdb, DataIn, Pdu, ScsiCommand, ScsiStatus, SHARE_THRESHOLD};
 use storm_net::SendQueue;
 use storm_nvmeq::{
     Cqe, FrameHeader, FrameKind, FrameStream, FrameWire, Sqe, SqeOp, UnitEntry, UnitWire, CQE_LEN,
@@ -24,59 +24,27 @@ use storm_nvmeq::{
 
 use super::active::RelayCopyStats;
 use super::codec::{ChainUnit, Ingress, OutUnit};
-use crate::service::Dir;
+use crate::service::{scsi_status, Cmd, CmdOp, Dir};
 
-/// Per-flow multi-queue relay state: one frame reassembler per leg, the
-/// in-flight command table (cid → opcode) that lets completions
-/// produced by services (which only know the SCSI shape) re-encode with
-/// the correct opcode echo, and the non-final Data-In segments of reads
-/// a service is serving, held until the final one closes the CQE.
+/// Per-flow multi-queue relay state: one frame reassembler per leg and
+/// the non-final Data-In segments of reads a service is serving, held
+/// until the final one closes the CQE.
 #[derive(Debug, Default)]
 pub(crate) struct NvqPair {
     /// Reassembler for the tenant-VM leg (doorbell frames).
     pub s_stream: FrameStream,
     /// Reassembler for the upstream leg (completion frames).
     pub c_stream: FrameStream,
-    inflight: HashMap<u32, SqeOp>,
     held: HashMap<u32, Vec<Bytes>>,
 }
 
-impl NvqPair {
-    /// Creates empty per-flow state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a submission passing towards the target.
-    pub fn note_submit(&mut self, cid: u32, op: SqeOp) {
-        self.inflight.insert(cid, op);
-    }
-
-    /// Retires a command (a completion passed back) and returns its
-    /// opcode, if the submission was seen.
-    pub fn complete(&mut self, cid: u32) -> Option<SqeOp> {
-        self.inflight.remove(&cid)
-    }
-
-    /// Keeps the in-flight table current for a unit the chain passed
-    /// through verbatim (the fast path skips [`pdu_to_unit`] entirely);
-    /// `pdu` is the unit's synthetic PDU from [`unit_to_pdu`].
-    pub fn note_verbatim(&mut self, pdu: &Pdu) {
-        match pdu {
-            Pdu::ScsiCommand(c) => {
-                let op = if c.read {
-                    SqeOp::Read
-                } else if c.write {
-                    SqeOp::Write
-                } else {
-                    SqeOp::Flush
-                };
-                self.note_submit(c.itt, op);
-            }
-            other => {
-                self.complete(other.itt());
-            }
-        }
+/// The nvmeq opcode of a command op; `None` for ops with no entry.
+fn sqe_op(op: CmdOp) -> Option<SqeOp> {
+    match op {
+        CmdOp::Read => Some(SqeOp::Read),
+        CmdOp::Write => Some(SqeOp::Write),
+        CmdOp::Flush => Some(SqeOp::Flush),
+        CmdOp::Other => None,
     }
 }
 
@@ -140,6 +108,19 @@ pub(crate) fn frame_ingress(fw: FrameWire) -> Ingress {
             ChainUnit {
                 in_bhs: pdu.encode_bhs(),
                 pdu,
+                cmd: match &u.entry {
+                    UnitEntry::Sqe(sqe) => Some(Cmd {
+                        op: match sqe.op {
+                            SqeOp::Read => CmdOp::Read,
+                            SqeOp::Write => CmdOp::Write,
+                            SqeOp::Flush => CmdOp::Flush,
+                        },
+                        lba: sqe.lba,
+                        sectors: sqe.sectors,
+                        key: 0,
+                    }),
+                    UnitEntry::Cqe(_) => None,
+                },
                 in_data: u.data,
                 entry_wire: u.entry_wire,
             }
@@ -212,85 +193,55 @@ pub(crate) fn unit_to_pdu(unit: &UnitWire) -> Pdu {
                 residual: 0,
                 data: unit.data.clone(),
             }),
-            SqeOp::Write | SqeOp::Flush => Pdu::ScsiResponse(ScsiResponse {
-                itt: cqe.cid,
-                response: 0,
-                status: cqe.status,
-                stat_sn: 0,
-                exp_cmd_sn: 0,
-                max_cmd_sn: 0,
-                residual: 0,
-                data: Bytes::new(),
-            }),
+            SqeOp::Write | SqeOp::Flush => scsi_status(cqe.cid, cqe.status),
         },
     }
 }
 
-/// Maps a chain-produced PDU back to a wire unit for the outbound frame,
-/// maintaining the pair's in-flight table. A Data-In that is not final
-/// with status is held and returns `None`: the read's closing Data-In or
-/// SCSI Response emits one CQE carrying every held segment. PDU shapes with no
-/// multi-queue equivalent (R2T, NOPs, text) return `None` and are
-/// dropped — no chain service emits them on the relay datapath.
-pub(crate) fn pdu_to_unit(dir: Dir, pdu: &Pdu, pair: &mut NvqPair) -> Option<UnitOut> {
+/// Maps a chain-produced PDU of command `cmd` back to a wire unit for
+/// the outbound frame; the entry's opcode, lba and length come from the
+/// command (a completion of no known command echoes Write). A Data-In
+/// that is not final with status is held and returns `None`: the read's
+/// closing Data-In or SCSI Response emits one CQE carrying every held
+/// segment. PDU shapes with no multi-queue equivalent (R2T, NOPs, text)
+/// return `None` and are dropped — no chain service emits them on the
+/// relay datapath.
+pub(crate) fn pdu_to_unit(
+    dir: Dir,
+    pdu: &Pdu,
+    cmd: Option<Cmd>,
+    pair: &mut NvqPair,
+) -> Option<UnitOut> {
     match dir {
         Dir::ToTarget => {
-            let Pdu::ScsiCommand(c) = pdu else {
+            let (Pdu::ScsiCommand(c), Some(cmd)) = (pdu, cmd) else {
                 return None;
             };
-            let (op, data) = match Cdb::parse(&c.cdb).ok()? {
-                Cdb::Read { lba, sectors } => (
-                    Sqe {
-                        op: SqeOp::Read,
-                        cid: c.itt,
-                        lba,
-                        sectors,
-                        data_len: 0,
-                    },
-                    Bytes::new(),
-                ),
-                Cdb::Write { lba, sectors } => (
-                    Sqe {
-                        op: SqeOp::Write,
-                        cid: c.itt,
-                        lba,
-                        sectors,
-                        data_len: c.data.len() as u32,
-                    },
-                    c.data.clone(),
-                ),
-                Cdb::SynchronizeCache => (
-                    Sqe {
-                        op: SqeOp::Flush,
-                        cid: c.itt,
-                        lba: 0,
-                        sectors: 0,
-                        data_len: 0,
-                    },
-                    Bytes::new(),
-                ),
-                _ => return None,
+            // Only a write carries data: in-capsule or immediate.
+            let data = c.data.clone();
+            let sqe = Sqe {
+                op: sqe_op(cmd.op)?,
+                cid: c.itt,
+                lba: cmd.lba,
+                sectors: cmd.sectors,
+                data_len: data.len() as u32,
             };
-            pair.note_submit(op.cid, op.op);
-            Some(UnitOut::Sqe { sqe: op, data })
+            Some(UnitOut::Sqe { sqe, data })
         }
         Dir::ToInitiator => match pdu {
-            Pdu::DataIn(d) if d.final_pdu && d.status_present => {
-                pair.complete(d.itt);
-                Some(completion(
-                    pair,
-                    d.itt,
-                    d.status,
-                    SqeOp::Read,
-                    d.data.clone(),
-                ))
-            }
+            Pdu::DataIn(d) if d.final_pdu && d.status_present => Some(completion(
+                pair,
+                d.itt,
+                d.status,
+                SqeOp::Read,
+                d.data.clone(),
+            )),
             Pdu::DataIn(d) => {
                 pair.held.entry(d.itt).or_default().push(d.data.clone());
                 None
             }
             Pdu::ScsiResponse(r) => {
-                let op = pair.complete(r.itt).unwrap_or(SqeOp::Write);
+                let op = cmd.and_then(|c| sqe_op(c.op)).unwrap_or(SqeOp::Write);
                 Some(completion(pair, r.itt, r.status, op, Bytes::new()))
             }
             _ => None,
@@ -328,7 +279,7 @@ pub(crate) fn encode_frame(
     let units: Vec<UnitOut> = units
         .into_iter()
         .filter_map(|u| match u {
-            OutUnit::Pdu(pdu) => pdu_to_unit(dir, &pdu, pair),
+            OutUnit::Pdu(pdu, cmd) => pdu_to_unit(dir, &pdu, cmd, pair),
             OutUnit::Verbatim { entry_wire, data } => Some(UnitOut::Verbatim { entry_wire, data }),
         })
         .collect();
@@ -430,7 +381,7 @@ mod tests {
 
     #[test]
     fn sqe_maps_to_scsi_command_and_back() {
-        let mut pair = NvqPair::new();
+        let mut pair = NvqPair::default();
         let payload = vec![0xAB; 4096];
         let sqe = Sqe {
             op: SqeOp::Write,
@@ -454,7 +405,13 @@ mod tests {
                 sectors: 8
             })
         );
-        let out = pdu_to_unit(Dir::ToTarget, &pdu, &mut pair).expect("round-trips");
+        let cmd = Cmd {
+            op: CmdOp::Write,
+            lba: 64,
+            sectors: 8,
+            key: 1,
+        };
+        let out = pdu_to_unit(Dir::ToTarget, &pdu, Some(cmd), &mut pair).expect("round-trips");
         match out {
             UnitOut::Sqe { sqe: s, data } => {
                 assert_eq!(s, sqe);
@@ -462,12 +419,11 @@ mod tests {
             }
             other => panic!("expected an SQE out, got {other:?}"),
         }
-        assert_eq!(pair.complete(9), Some(SqeOp::Write));
     }
 
     #[test]
     fn read_cqe_maps_to_data_in_and_back() {
-        let mut pair = NvqPair::new();
+        let mut pair = NvqPair::default();
         let payload = vec![0x5C; 512];
         let cqe = Cqe {
             cid: 3,
@@ -481,7 +437,7 @@ mod tests {
             panic!("read CQE must map to DataIn");
         };
         assert!(d.status_present && d.final_pdu);
-        let out = pdu_to_unit(Dir::ToInitiator, &pdu, &mut pair).expect("round-trips");
+        let out = pdu_to_unit(Dir::ToInitiator, &pdu, None, &mut pair).expect("round-trips");
         match out {
             UnitOut::Cqe { cqe: c, data, .. } => {
                 assert_eq!(c, cqe);
@@ -492,25 +448,21 @@ mod tests {
     }
 
     #[test]
-    fn flush_completion_recovers_opcode_from_inflight_table() {
-        let mut pair = NvqPair::new();
-        pair.note_submit(7, SqeOp::Flush);
-        let resp = Pdu::ScsiResponse(ScsiResponse {
-            itt: 7,
-            response: 0,
-            status: ScsiStatus::Good,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            residual: 0,
-            data: Bytes::new(),
-        });
-        match pdu_to_unit(Dir::ToInitiator, &resp, &mut pair) {
+    fn flush_completion_takes_opcode_from_its_command() {
+        let mut pair = NvqPair::default();
+        let flush = Cmd {
+            op: CmdOp::Flush,
+            lba: 0,
+            sectors: 0,
+            key: 7,
+        };
+        let resp = scsi_status(7, ScsiStatus::Good);
+        match pdu_to_unit(Dir::ToInitiator, &resp, Some(flush), &mut pair) {
             Some(UnitOut::Cqe { cqe, .. }) => assert_eq!(cqe.op, SqeOp::Flush),
             other => panic!("expected a CQE, got {other:?}"),
         }
-        // Table entry consumed; an unknown cid falls back to Write.
-        match pdu_to_unit(Dir::ToInitiator, &resp, &mut pair) {
+        // A completion of no known command falls back to Write.
+        match pdu_to_unit(Dir::ToInitiator, &resp, None, &mut pair) {
             Some(UnitOut::Cqe { cqe, .. }) => assert_eq!(cqe.op, SqeOp::Write),
             other => panic!("expected a CQE, got {other:?}"),
         }
@@ -518,7 +470,7 @@ mod tests {
 
     #[test]
     fn data_in_train_leaves_as_one_cqe_of_chained_views() {
-        let mut pair = NvqPair::new();
+        let mut pair = NvqPair::default();
         let payload = Bytes::from(vec![0x3Cu8; 96 * 1024]);
         let seg = |off: usize, end: usize, last: bool| {
             Pdu::DataIn(DataIn {
@@ -538,9 +490,9 @@ mod tests {
             })
         };
         let first = seg(0, 64 * 1024, false);
-        assert!(pdu_to_unit(Dir::ToInitiator, &first, &mut pair).is_none());
+        assert!(pdu_to_unit(Dir::ToInitiator, &first, None, &mut pair).is_none());
         let last = seg(64 * 1024, payload.len(), true);
-        let unit = pdu_to_unit(Dir::ToInitiator, &last, &mut pair).expect("closes the read");
+        let unit = pdu_to_unit(Dir::ToInitiator, &last, None, &mut pair).expect("closes the read");
         match &unit {
             UnitOut::Cqe { cqe, head, data } => {
                 assert_eq!((cqe.cid, cqe.op), (4, SqeOp::Read));

@@ -5,10 +5,20 @@
 //! (passive path) and execute the actions it emits: forwarding, replying,
 //! issuing side I/O to replica volumes, raising alerts. Services are pure
 //! state machines: all timing flows through the relay.
+//!
+//! On the active path each PDU comes with its command: every flow keeps
+//! one [`CmdTable`], and [`SvcCtx::cmd`] hands each `on_pdu` call the
+//! [`Cmd`] (op, lba, sectors, relay-unique key) its unit belongs to, on
+//! either transport. Services key per-command state by [`Cmd::key`],
+//! never by the bare itt, and a PDU with no open command is one whose
+//! command already finished or failed — the encryption service drops
+//! such data rather than forward it in the clear.
+
+use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use storm_iscsi::{DataIn, Pdu, ScsiStatus};
+use storm_iscsi::{Cdb, DataIn, Pdu, ScsiResponse, ScsiStatus};
 use storm_sim::{SimDuration, SimTime};
 
 /// Direction of travel through the middle-box.
@@ -28,6 +38,114 @@ impl Dir {
             Dir::ToInitiator => Dir::ToTarget,
         }
     }
+}
+
+/// What a command does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmdOp {
+    /// Reads `sectors` sectors at `lba`.
+    Read,
+    /// Writes `sectors` sectors at `lba`.
+    Write,
+    /// Flushes the volume's write cache.
+    Flush,
+    /// Any other command (inquiry, capacity, ...).
+    Other,
+}
+
+/// The transport-neutral view of one open command that the relay hands
+/// every service with each PDU of it ([`SvcCtx::cmd`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cmd {
+    /// What the command does.
+    pub op: CmdOp,
+    /// First sector.
+    pub lba: u64,
+    /// Sector count.
+    pub sectors: u32,
+    /// Unique per relay: the key of any per-command state a service
+    /// keeps (itts collide across flows, as every initiator counts its
+    /// own).
+    pub key: u64,
+}
+
+impl Cmd {
+    /// The command an iSCSI SCSI Command PDU opens, its CDB parsed once
+    /// (`key` 0 until a table opens it); `None` for any other PDU.
+    pub fn of_scsi(pdu: &Pdu) -> Option<Cmd> {
+        let Pdu::ScsiCommand(c) = pdu else {
+            return None;
+        };
+        let (op, lba, sectors) = match Cdb::parse(&c.cdb) {
+            Ok(Cdb::Read { lba, sectors }) => (CmdOp::Read, lba, sectors),
+            Ok(Cdb::Write { lba, sectors }) => (CmdOp::Write, lba, sectors),
+            Ok(Cdb::SynchronizeCache) => (CmdOp::Flush, 0, 0),
+            _ => (CmdOp::Other, 0, 0),
+        };
+        Some(Cmd {
+            op,
+            lba,
+            sectors,
+            key: 0,
+        })
+    }
+
+    /// Bytes the command transfers.
+    pub fn bytes(&self) -> usize {
+        self.sectors as usize * 512
+    }
+}
+
+/// A flow's open commands by itt: the relay's one answer to "which
+/// command does this PDU belong to". An entry opens as its command
+/// heads to the target and retires when the command's final status
+/// leaves towards the initiator.
+#[derive(Debug, Default)]
+pub struct CmdTable {
+    pub(crate) by_itt: HashMap<u32, Cmd>,
+}
+
+impl CmdTable {
+    /// Opens `cmd` under `itt` with the next key drawn from `keys`,
+    /// replacing a stale entry of a reused itt.
+    pub fn open(&mut self, itt: u32, cmd: Cmd, keys: &mut u64) -> Cmd {
+        *keys += 1;
+        let cmd = Cmd { key: *keys, ..cmd };
+        self.by_itt.insert(itt, cmd);
+        cmd
+    }
+
+    /// The open command of `itt`.
+    pub fn get(&self, itt: u32) -> Option<Cmd> {
+        self.by_itt.get(&itt).copied()
+    }
+
+    /// The command of `pdu`, which is leaving in `dir`; retires it when
+    /// `pdu` carries its final status towards the initiator (a SCSI
+    /// Response, or a final Data-In with status).
+    pub fn leave(&mut self, dir: Dir, pdu: &Pdu) -> Option<Cmd> {
+        match (dir, pdu) {
+            (Dir::ToInitiator, Pdu::ScsiResponse(r)) => self.by_itt.remove(&r.itt),
+            (Dir::ToInitiator, Pdu::DataIn(d)) if d.final_pdu && d.status_present => {
+                self.by_itt.remove(&d.itt)
+            }
+            _ => self.get(pdu.itt()),
+        }
+    }
+}
+
+/// A bare SCSI Response: `status` for command `itt`.
+pub fn scsi_status(itt: u32, status: ScsiStatus) -> Pdu {
+    Pdu::ScsiResponse(ScsiResponse {
+        itt,
+        response: 0,
+        status,
+        stat_sn: 0,
+        exp_cmd_sn: 0,
+        max_cmd_sn: 0,
+        residual: 0,
+        data: Bytes::new(),
+    })
 }
 
 /// Side I/O issued by a service against a replica volume attached to the
@@ -85,6 +203,7 @@ pub enum SvcAction {
 pub struct SvcCtx {
     /// Current simulation time.
     pub now: SimTime,
+    cmd: Option<Cmd>,
     actions: Vec<SvcAction>,
 }
 
@@ -93,8 +212,21 @@ impl SvcCtx {
     pub fn new(now: SimTime) -> Self {
         SvcCtx {
             now,
+            cmd: None,
             actions: Vec::new(),
         }
+    }
+
+    /// The collector for a PDU of `cmd`.
+    pub fn with_cmd(mut self, cmd: Option<Cmd>) -> Self {
+        self.cmd = cmd;
+        self
+    }
+
+    /// The open command the PDU in [`StorageService::on_pdu`] belongs
+    /// to; `None` for a PDU of no open command and outside `on_pdu`.
+    pub fn cmd(&self) -> Option<Cmd> {
+        self.cmd
     }
 
     /// Takes the accumulated actions.
@@ -274,7 +406,7 @@ impl StorageService for PassthroughService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_iscsi::NopOut;
+    use storm_iscsi::{NopOut, ScsiCommand};
 
     fn nop() -> Pdu {
         Pdu::NopOut(NopOut {
@@ -315,6 +447,72 @@ mod tests {
         ));
         assert!(matches!(actions[4], SvcAction::Timer { token: 9, .. }));
         assert!(cx.take_actions().is_empty());
+    }
+
+    fn read(itt: u32) -> Pdu {
+        Pdu::ScsiCommand(ScsiCommand {
+            immediate: false,
+            final_pdu: true,
+            read: true,
+            write: false,
+            lun: 0,
+            itt,
+            edtl: 1024,
+            cmd_sn: 1,
+            exp_stat_sn: 1,
+            cdb: Cdb::Read {
+                lba: 70,
+                sectors: 2,
+            }
+            .to_bytes(),
+            data: Bytes::new(),
+        })
+    }
+
+    fn data_in(itt: u32, last: bool) -> Pdu {
+        Pdu::DataIn(DataIn {
+            final_pdu: last,
+            status_present: last,
+            status: ScsiStatus::Good,
+            lun: 0,
+            itt,
+            ttt: 0xFFFF_FFFF,
+            stat_sn: 0,
+            exp_cmd_sn: 0,
+            max_cmd_sn: 0,
+            data_sn: 0,
+            buffer_offset: 0,
+            residual: 0,
+            data: Bytes::from_static(&[0; 512]),
+        })
+    }
+
+    #[test]
+    fn command_table_retires_on_the_final_status_towards_the_initiator() {
+        let (mut cmds, mut keys) = (CmdTable::default(), 0);
+        let fresh = Cmd::of_scsi(&read(5)).expect("a SCSI command opens");
+        assert_eq!((fresh.op, fresh.lba, fresh.sectors), (CmdOp::Read, 70, 2));
+        assert_eq!(Cmd::of_scsi(&nop()), None);
+        let cmd = cmds.open(5, fresh, &mut keys);
+        assert_eq!(cmds.get(5), Some(cmd));
+        // Nothing heading to the target retires, nor does a non-final
+        // Data-In...
+        assert_eq!(
+            cmds.leave(Dir::ToTarget, &scsi_status(5, ScsiStatus::Good)),
+            Some(cmd)
+        );
+        assert_eq!(cmds.leave(Dir::ToInitiator, &data_in(5, false)), Some(cmd));
+        // ...but the final one, carrying status, does.
+        assert_eq!(cmds.leave(Dir::ToInitiator, &data_in(5, true)), Some(cmd));
+        assert_eq!(cmds.get(5), None);
+        // A SCSI Response retires too; a reused itt gets a fresh key.
+        let again = cmds.open(5, fresh, &mut keys);
+        assert_ne!(again.key, cmd.key);
+        assert_eq!(
+            cmds.leave(Dir::ToInitiator, &scsi_status(5, ScsiStatus::Good)),
+            Some(again)
+        );
+        assert!(cmds.by_itt.is_empty());
     }
 
     #[test]

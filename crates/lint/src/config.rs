@@ -97,6 +97,7 @@ impl Default for Config {
                 "crates/nvmeq/src/stream.rs",
                 "crates/net/src/tcp.rs",
                 "crates/net/src/frame.rs",
+                "crates/services/src/assembly.rs",
                 "crates/services/src/cache.rs",
                 "crates/services/src/dedup.rs",
                 "crates/services/src/compress.rs",
@@ -116,9 +117,11 @@ impl Default for Config {
             // `next_frame`) which return owned buffers by design.
             alloc_roots: [
                 ("crates/core/src/relay/codec.rs", "queue_pdu"),
-                ("crates/core/src/relay/queue.rs", "note_submit"),
-                ("crates/core/src/relay/queue.rs", "complete"),
-                ("crates/core/src/relay/queue.rs", "note_verbatim"),
+                ("crates/core/src/relay/active.rs", "outbound"),
+                ("crates/core/src/service.rs", "of_scsi"),
+                ("crates/core/src/service.rs", "open"),
+                ("crates/core/src/service.rs", "get"),
+                ("crates/core/src/service.rs", "leave"),
                 ("crates/iscsi/src/stream.rs", "feed_bytes"),
                 ("crates/iscsi/src/stream.rs", "push_chunk"),
                 ("crates/iscsi/src/stream.rs", "peek_into"),

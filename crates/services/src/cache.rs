@@ -28,9 +28,12 @@ use std::collections::BTreeMap;
 use bytes::{Bytes, BytesMut};
 
 use storm_block::{BlockDevice, BlockError, SECTOR_SIZE};
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, DataIn, Pdu, R2t, ScsiResponse, ScsiStatus};
+use storm_core::service::scsi_status;
+use storm_core::{Cmd, CmdOp, Dir, StorageService, SvcCtx};
+use storm_iscsi::{Cdb, DataIn, DataOut, Pdu, R2t, ScsiCommand, ScsiStatus};
 use storm_sim::SimDuration;
+
+use crate::assembly::WriteAssembly;
 
 /// Journal entry header magic ("SJH1").
 const HDR_MAGIC: u32 = 0x534A_4831;
@@ -134,10 +137,7 @@ struct Sector {
 /// An in-flight staged write transfer (the cache's own R2T machine).
 #[derive(Debug)]
 struct WriteStage {
-    lba: u64,
-    buf: BytesMut,
-    received: usize,
-    expected: usize,
+    asm: WriteAssembly,
     unsolicited: usize,
     next_ttt: u32,
 }
@@ -160,8 +160,8 @@ pub struct WriteBackCacheService {
     dirty_count: u64,
     tick: u64,
     gen: u64,
-    stages: BTreeMap<u32, WriteStage>,
-    pending_reads: BTreeMap<u32, (u64, u32)>,
+    /// Staged writes, by command key.
+    stages: BTreeMap<u64, WriteStage>,
     /// Journal cursor: next free sector (sector 0 is the checkpoint).
     tail: u64,
     next_seq: u64,
@@ -195,7 +195,6 @@ impl WriteBackCacheService {
             tick: 0,
             gen: 0,
             stages: BTreeMap::new(),
-            pending_reads: BTreeMap::new(),
             tail: 1,
             next_seq: 1,
             seq_floor: 1,
@@ -322,22 +321,10 @@ impl WriteBackCacheService {
         (lba..lba + sectors as u64).all(|s| self.sectors.contains_key(&s))
     }
 
-    fn ack_write(cx: &mut SvcCtx, itt: u32) {
-        cx.reply(Pdu::ScsiResponse(ScsiResponse {
-            itt,
-            response: 0,
-            status: ScsiStatus::Good,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            residual: 0,
-            data: Bytes::new(),
-        }));
-    }
-
     /// Emits the next R2T for a staged write.
     fn solicit(cx: &mut SvcCtx, cfg: &CacheConfig, itt: u32, stage: &mut WriteStage) {
-        let remaining = stage.expected - stage.received;
+        let received = stage.asm.received();
+        let remaining = stage.asm.expected() - received;
         let burst = remaining.min(cfg.max_burst);
         let r2t_sn = stage.next_ttt;
         stage.next_ttt += 1;
@@ -349,7 +336,7 @@ impl WriteBackCacheService {
             exp_cmd_sn: 0,
             max_cmd_sn: 0,
             r2t_sn,
-            buffer_offset: stage.received as u32,
+            buffer_offset: received as u32,
             desired_length: burst as u32,
         }));
     }
@@ -533,78 +520,44 @@ impl WriteBackCacheService {
         }
     }
 
-    fn on_write_cmd(&mut self, cx: &mut SvcCtx, c: storm_iscsi::ScsiCommand, lba: u64) {
-        let expected = c.edtl as usize;
-        if expected == 0 || !expected.is_multiple_of(SECTOR_SIZE) {
+    fn on_write_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: Cmd) {
+        if cmd.sectors == 0 {
             cx.forward(Pdu::ScsiCommand(c));
             return;
         }
-        let imm = c.data.len().min(expected);
-        if imm >= expected {
-            self.complete_write(
-                cx,
-                CompletedWrite {
-                    itt: c.itt,
-                    lba,
-                    data: c.data.slice(0..expected),
-                },
-            );
+        let mut asm = WriteAssembly::new(&cmd);
+        if let Some(data) = asm.push(0, &c.data) {
+            let (itt, lba) = (c.itt, cmd.lba);
+            self.complete_write(cx, CompletedWrite { itt, lba, data });
             return;
         }
-        let mut buf = BytesMut::zeroed(expected);
-        // storm-lint: allow(no-hot-path-copy): armed write-staging path;
-        // an idle cache forwards the PDU verbatim above.
-        buf[..imm].copy_from_slice(&c.data[..imm]);
         let mut stage = WriteStage {
-            lba,
-            buf,
-            received: imm,
-            expected,
-            unsolicited: expected.min(self.cfg.first_burst),
+            asm,
+            unsolicited: cmd.bytes().min(self.cfg.first_burst),
             next_ttt: 1,
         };
-        if stage.received >= stage.unsolicited {
+        if stage.asm.received() >= stage.unsolicited {
             Self::solicit(cx, &self.cfg, c.itt, &mut stage);
         }
-        self.stages.insert(c.itt, stage);
+        self.stages.insert(cmd.key, stage);
     }
 
-    fn on_data_out(&mut self, cx: &mut SvcCtx, d: storm_iscsi::DataOut) {
-        let Some(stage) = self.stages.get_mut(&d.itt) else {
+    fn on_data_out(&mut self, cx: &mut SvcCtx, d: DataOut, cmd: Cmd) {
+        let Some(stage) = self.stages.get_mut(&cmd.key) else {
             cx.forward(Pdu::DataOut(d));
             return;
         };
-        let off = d.buffer_offset as usize;
-        let end = (off + d.data.len()).min(stage.expected);
-        if off < end {
-            // storm-lint: allow(no-hot-path-copy): armed write-staging
-            // path (cache-owned transfer, never forwarded).
-            stage.buf[off..end].copy_from_slice(&d.data[..end - off]);
-            stage.received += end - off;
-        }
-        if stage.received >= stage.expected {
-            if let Some(stage) = self.stages.remove(&d.itt) {
-                self.complete_write(
-                    cx,
-                    CompletedWrite {
-                        itt: d.itt,
-                        lba: stage.lba,
-                        data: stage.buf.freeze(),
-                    },
-                );
-            }
-        } else if d.final_pdu && stage.received >= stage.unsolicited {
+        if let Some(data) = stage.asm.push(d.buffer_offset as usize, &d.data) {
+            self.stages.remove(&cmd.key);
+            let (itt, lba) = (d.itt, cmd.lba);
+            self.complete_write(cx, CompletedWrite { itt, lba, data });
+        } else if d.final_pdu && stage.asm.received() >= stage.unsolicited {
             Self::solicit(cx, &self.cfg, d.itt, stage);
         }
     }
 
-    fn on_read_cmd(
-        &mut self,
-        cx: &mut SvcCtx,
-        c: storm_iscsi::ScsiCommand,
-        lba: u64,
-        sectors: u32,
-    ) {
+    fn on_read_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: Cmd) {
+        let (lba, sectors) = (cmd.lba, cmd.sectors);
         cx.charge(self.per_byte * (sectors as u64 * SECTOR_SIZE as u64));
         if sectors > 0 && self.full_hit(lba, sectors) {
             self.stats.read_hits += 1;
@@ -621,20 +574,12 @@ impl WriteBackCacheService {
             return;
         }
         self.stats.read_misses += 1;
-        self.pending_reads.insert(c.itt, (lba, sectors));
         cx.forward(Pdu::ScsiCommand(c));
     }
 
-    /// Target Data-In for a miss read: patch dirty sectors in, populate
-    /// clean ones.
-    fn on_data_in(&mut self, cx: &mut SvcCtx, mut d: DataIn) {
-        let Some(&(lba, _)) = self.pending_reads.get(&d.itt) else {
-            cx.forward(Pdu::DataIn(d));
-            return;
-        };
-        if d.final_pdu {
-            self.pending_reads.remove(&d.itt);
-        }
+    /// Target Data-In for a miss read (hits never reach the target):
+    /// patch dirty sectors in, populate clean ones.
+    fn on_data_in(&mut self, cx: &mut SvcCtx, mut d: DataIn, lba: u64) {
         let off = d.buffer_offset as usize;
         if d.data.is_empty()
             || !off.is_multiple_of(SECTOR_SIZE)
@@ -687,11 +632,14 @@ impl StorageService for WriteBackCacheService {
             cx.forward(pdu);
             return;
         }
+        let Some(cmd) = cx.cmd() else {
+            return cx.forward(pdu);
+        };
         match (dir, pdu) {
-            (Dir::ToTarget, Pdu::ScsiCommand(c)) => match Cdb::parse(&c.cdb) {
-                Ok(Cdb::Write { lba, .. }) if c.write => self.on_write_cmd(cx, c, lba),
-                Ok(Cdb::Read { lba, sectors }) if c.read => self.on_read_cmd(cx, c, lba, sectors),
-                Ok(Cdb::SynchronizeCache) => {
+            (Dir::ToTarget, Pdu::ScsiCommand(c)) => match cmd.op {
+                CmdOp::Write => self.on_write_cmd(cx, c, cmd),
+                CmdOp::Read => self.on_read_cmd(cx, c, cmd),
+                CmdOp::Flush => {
                     if self.is_clean() {
                         cx.forward(Pdu::ScsiCommand(c));
                     } else {
@@ -699,13 +647,11 @@ impl StorageService for WriteBackCacheService {
                         self.kick_flush(cx);
                     }
                 }
-                _ => cx.forward(Pdu::ScsiCommand(c)),
+                CmdOp::Other => cx.forward(Pdu::ScsiCommand(c)),
             },
-            (Dir::ToTarget, Pdu::DataOut(d)) => self.on_data_out(cx, d),
-            (Dir::ToInitiator, Pdu::DataIn(d)) => self.on_data_in(cx, d),
-            (Dir::ToInitiator, Pdu::ScsiResponse(r)) => {
-                self.pending_reads.remove(&r.itt);
-                cx.forward(Pdu::ScsiResponse(r));
+            (Dir::ToTarget, Pdu::DataOut(d)) => self.on_data_out(cx, d, cmd),
+            (Dir::ToInitiator, Pdu::DataIn(d)) if cmd.op == CmdOp::Read => {
+                self.on_data_in(cx, d, cmd.lba)
             }
             (_, other) => cx.forward(other),
         }
@@ -756,7 +702,7 @@ impl StorageService for WriteBackCacheService {
                     return;
                 }
                 // Commit durable: acknowledge, then install dirty sectors.
-                Self::ack_write(cx, write.itt);
+                cx.reply(scsi_status(write.itt, ScsiStatus::Good));
                 self.apply_committed(cx, &write);
             }
             CTX_FLUSH => {
@@ -956,7 +902,7 @@ mod tests {
     use super::*;
     use storm_block::MemDisk;
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::{DataOut, ScsiCommand};
+    use storm_core::CmdTable;
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Vec<u8>, edtl: u32) -> Pdu {
@@ -995,10 +941,13 @@ mod tests {
         })
     }
 
-    /// A tiny relay stand-in: applies replica ops to MemDisks, loops
-    /// until quiescent, and collects replies/forwards/timers.
+    /// A tiny relay stand-in: keeps the flow's command table, applies
+    /// replica ops to MemDisks, loops until quiescent, and collects
+    /// replies/forwards/timers.
     struct Harness {
         svc: WriteBackCacheService,
+        cmds: CmdTable,
+        keys: u64,
         journal: MemDisk,
         primary: MemDisk,
         replies: Vec<Pdu>,
@@ -1011,6 +960,8 @@ mod tests {
         fn new(cfg: CacheConfig) -> Self {
             Harness {
                 svc: WriteBackCacheService::new(cfg.clone()),
+                cmds: CmdTable::default(),
+                keys: 0,
                 journal: MemDisk::with_capacity_bytes(cfg.journal_sectors * SECTOR_SIZE as u64),
                 primary: MemDisk::with_capacity_bytes(64 << 20),
                 replies: Vec::new(),
@@ -1026,8 +977,17 @@ mod tests {
                 let mut next = SvcCtx::new(SimTime::ZERO);
                 for act in pending {
                     match act {
-                        SvcAction::Reply(p) => self.replies.push(p),
-                        SvcAction::Forward(p) => self.forwards.push(p),
+                        // Replies and forwarded Data-In head to the
+                        // initiator; forwarded commands and Data-Out
+                        // leave no status there.
+                        SvcAction::Reply(p) => {
+                            self.cmds.leave(Dir::ToInitiator, &p);
+                            self.replies.push(p);
+                        }
+                        SvcAction::Forward(p) => {
+                            self.cmds.leave(Dir::ToInitiator, &p);
+                            self.forwards.push(p);
+                        }
                         SvcAction::Timer { .. } => self.timers += 1,
                         SvcAction::Replica { replica, io, ctx } => {
                             let disk: &mut MemDisk = if replica == JOURNAL {
@@ -1070,7 +1030,13 @@ mod tests {
         }
 
         fn pdu(&mut self, dir: Dir, pdu: Pdu) {
-            let mut cx = SvcCtx::new(SimTime::ZERO);
+            let cmd = match Cmd::of_scsi(&pdu) {
+                Some(fresh) if dir == Dir::ToTarget => {
+                    Some(self.cmds.open(pdu.itt(), fresh, &mut self.keys))
+                }
+                _ => self.cmds.get(pdu.itt()),
+            };
+            let mut cx = SvcCtx::new(SimTime::ZERO).with_cmd(cmd);
             self.svc.on_pdu(&mut cx, dir, pdu);
             self.drain(cx);
         }
@@ -1376,7 +1342,7 @@ mod tests {
     fn disarmed_cache_forwards_everything_verbatim() {
         let mut svc = WriteBackCacheService::disarmed(CacheConfig::default());
         let pdu = write_cmd(1, 0, vec![9u8; 4096], 4096);
-        let mut cx = SvcCtx::new(SimTime::ZERO);
+        let mut cx = SvcCtx::new(SimTime::ZERO).with_cmd(Cmd::of_scsi(&pdu));
         svc.on_pdu(&mut cx, Dir::ToTarget, pdu.clone());
         let acts = cx.take_actions();
         assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));

@@ -12,12 +12,10 @@
 //!   so it also works on the passive path where data crosses in arbitrary
 //!   packet-sized pieces.
 
-use std::collections::{HashMap, HashSet};
-
-use bytes::Bytes;
-use storm_core::{Dir, StorageService, SvcCtx};
+use storm_core::service::scsi_status;
+use storm_core::{CmdOp, Dir, StorageService, SvcCtx};
 use storm_crypto::{AesXts, ChaCha20};
-use storm_iscsi::{Cdb, Pdu, ScsiResponse, ScsiStatus};
+use storm_iscsi::{Pdu, ScsiStatus};
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -63,14 +61,12 @@ impl CipherKind {
     }
 }
 
-/// The encryption middle-box service.
+/// The encryption middle-box service. It fails closed: a data or
+/// status PDU of no open command — including every later PDU of a
+/// command it failed — is dropped, never forwarded in the clear.
 pub struct EncryptionService {
     cipher: CipherKind,
     per_byte: SimDuration,
-    cmds: HashMap<u32, u64>,
-    /// Commands failed with CHECK CONDITION: their later PDUs are dropped
-    /// until the itt is reused or the target's status arrives.
-    failed: HashSet<u32>,
     bytes_encrypted: u64,
     bytes_decrypted: u64,
 }
@@ -94,8 +90,6 @@ impl EncryptionService {
             cipher,
             // ~1.5 GB/s single-core cipher throughput.
             per_byte: SimDuration::from_nanos(1),
-            cmds: HashMap::new(),
-            failed: HashSet::new(),
             bytes_encrypted: 0,
             bytes_decrypted: 0,
         }
@@ -106,22 +100,11 @@ impl EncryptionService {
         self.per_byte = cost;
     }
 
-    /// Drops a PDU the cipher cannot take, forgets its command and fails
-    /// the command once towards the initiator.
+    /// Drops a PDU the cipher cannot take and fails its command towards
+    /// the initiator, which retires the command.
     fn reject(&mut self, cx: &mut SvcCtx, dir: Dir, itt: u32, why: &str) {
-        self.cmds.remove(&itt);
-        self.failed.insert(itt);
         cx.alert(format!("encryption: dropped PDU of itt {itt:#x}: {why}"));
-        let status = Pdu::ScsiResponse(ScsiResponse {
-            itt,
-            response: 0,
-            status: ScsiStatus::CheckCondition,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            residual: 0,
-            data: Bytes::new(),
-        });
+        let status = scsi_status(itt, ScsiStatus::CheckCondition);
         match dir {
             Dir::ToTarget => cx.reply(status),
             Dir::ToInitiator => cx.forward(status),
@@ -141,38 +124,21 @@ impl StorageService for EncryptionService {
 
     fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, mut pdu: Pdu) {
         let (itt, buffer_offset, data) = match (&mut pdu, dir) {
-            (Pdu::ScsiCommand(c), Dir::ToTarget) => {
-                self.failed.remove(&c.itt);
-                if let Ok(Cdb::Read { lba, .. } | Cdb::Write { lba, .. }) = Cdb::parse(&c.cdb) {
-                    self.cmds.insert(c.itt, lba);
-                }
-                // Immediate write data encrypts at buffer offset 0.
-                (c.itt, 0, &mut c.data)
-            }
+            // Immediate write data encrypts at buffer offset 0.
+            (Pdu::ScsiCommand(c), Dir::ToTarget) => (c.itt, 0, &mut c.data),
             (Pdu::DataOut(d), Dir::ToTarget) => (d.itt, d.buffer_offset, &mut d.data),
             (Pdu::DataIn(d), Dir::ToInitiator) => (d.itt, d.buffer_offset, &mut d.data),
-            (Pdu::ScsiResponse(r), Dir::ToInitiator) => {
-                self.cmds.remove(&r.itt);
-                // A failed command's initiator already holds its status.
-                if !self.failed.remove(&r.itt) {
-                    cx.forward(pdu);
-                }
-                return;
-            }
-            _ => {
-                cx.forward(pdu);
-                return;
-            }
-        };
-        if self.failed.contains(&itt) {
-            // Later data of a command already failed: never forward it.
-            return;
-        }
-        let lba = match self.cmds.get(&itt) {
-            Some(&lba) if !data.is_empty() => lba,
+            // A failed command's initiator already holds its status.
+            (Pdu::ScsiResponse(_), Dir::ToInitiator) if cx.cmd().is_none() => return,
             _ => return cx.forward(pdu),
         };
-        let vol_offset = match self.cipher.locate(lba, buffer_offset, data.len()) {
+        let Some(cmd) = cx.cmd() else {
+            return;
+        };
+        if data.is_empty() || !matches!(cmd.op, CmdOp::Read | CmdOp::Write) {
+            return cx.forward(pdu);
+        }
+        let vol_offset = match self.cipher.locate(cmd.lba, buffer_offset, data.len()) {
             Ok(off) => off,
             Err(why) => return self.reject(cx, dir, itt, why),
         };
@@ -221,11 +187,55 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use storm_core::service::SvcAction;
-    use storm_iscsi::{DataIn, DataOut, ScsiCommand, ScsiStatus};
+    use storm_core::{Cmd, CmdTable};
+    use storm_iscsi::{Cdb, DataIn, DataOut, ScsiCommand, ScsiResponse, ScsiStatus};
     use storm_sim::SimTime;
 
-    fn svc() -> EncryptionService {
-        EncryptionService::aes_xts(&[0x42; 64])
+    /// The service on one relay flow: PDUs carry their command from the
+    /// flow's table, which opens as commands head to the target and
+    /// retires on a final status leaving towards the initiator.
+    struct Flow {
+        enc: EncryptionService,
+        cmds: CmdTable,
+        keys: u64,
+    }
+
+    impl Flow {
+        fn pdu(&mut self, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
+            let cmd = match Cmd::of_scsi(&pdu) {
+                Some(fresh) if dir == Dir::ToTarget => {
+                    Some(self.cmds.open(pdu.itt(), fresh, &mut self.keys))
+                }
+                _ => self.cmds.get(pdu.itt()),
+            };
+            let mut cx = SvcCtx::new(SimTime::ZERO).with_cmd(cmd);
+            self.enc.on_pdu(&mut cx, dir, pdu);
+            let actions = cx.take_actions();
+            for a in &actions {
+                match a {
+                    SvcAction::Reply(p) => self.cmds.leave(dir.flip(), p),
+                    SvcAction::Forward(p) => self.cmds.leave(dir, p),
+                    _ => None,
+                };
+            }
+            actions
+        }
+
+        fn counters(&self) -> (u64, u64) {
+            self.enc.counters()
+        }
+    }
+
+    fn flow(enc: EncryptionService) -> Flow {
+        Flow {
+            enc,
+            cmds: CmdTable::default(),
+            keys: 0,
+        }
+    }
+
+    fn svc() -> Flow {
+        flow(EncryptionService::aes_xts(&[0x42; 64]))
     }
 
     fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Pdu {
@@ -245,10 +255,8 @@ mod tests {
         })
     }
 
-    fn run(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Pdu {
-        let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, dir, pdu);
-        cx.take_actions()
+    fn run(flow: &mut Flow, dir: Dir, pdu: Pdu) -> Pdu {
+        flow.pdu(dir, pdu)
             .into_iter()
             .find_map(|a| match a {
                 SvcAction::Forward(p) => Some(p),
@@ -335,10 +343,8 @@ mod tests {
     }
 
     /// Asserts the PDU was dropped and its command failed exactly once.
-    fn assert_failed_once(enc: &mut EncryptionService, itt: u32, pdu: Pdu) {
-        let mut cx = SvcCtx::new(SimTime::ZERO);
-        enc.on_pdu(&mut cx, Dir::ToTarget, pdu);
-        let actions = cx.take_actions();
+    fn assert_failed_once(enc: &mut Flow, itt: u32, pdu: Pdu) {
+        let actions = enc.pdu(Dir::ToTarget, pdu);
         assert_eq!(actions.len(), 2, "{actions:?}");
         assert!(matches!(actions[0], SvcAction::Alert(_)), "{actions:?}");
         match &actions[1] {
@@ -347,11 +353,10 @@ mod tests {
             }
             other => panic!("expected a CHECK CONDITION reply, got {other:?}"),
         }
-        assert!(!enc.cmds.contains_key(&itt), "itt must be forgotten");
+        assert_eq!(enc.cmds.get(itt), None, "the failure retires the command");
         // The command's later data is dropped too, without a second status.
-        let mut cx = SvcCtx::new(SimTime::ZERO);
-        enc.on_pdu(&mut cx, Dir::ToTarget, data_out(itt, 0, vec![0x33; 512]));
-        assert!(cx.take_actions().is_empty());
+        let later = enc.pdu(Dir::ToTarget, data_out(itt, 0, vec![0x33; 512]));
+        assert!(later.is_empty(), "{later:?}");
         assert_eq!(enc.counters(), (0, 0));
     }
 
@@ -381,7 +386,7 @@ mod tests {
 
     #[test]
     fn overflowing_volume_offset_fails_the_command() {
-        let mut enc = EncryptionService::stream_cipher(&[7; 32], &[9; 12]);
+        let mut enc = flow(EncryptionService::stream_cipher(&[7; 32], &[9; 12]));
         let _ = run(
             &mut enc,
             Dir::ToTarget,
@@ -442,9 +447,32 @@ mod tests {
             residual: 0,
             data: Bytes::new(),
         });
-        let mut cx = SvcCtx::new(SimTime::ZERO);
-        enc.on_pdu(&mut cx, Dir::ToInitiator, status);
-        assert!(cx.take_actions().is_empty());
+        assert!(enc.pdu(Dir::ToInitiator, status).is_empty());
+    }
+
+    #[test]
+    fn data_of_no_open_command_is_dropped_not_forwarded_in_the_clear() {
+        let mut enc = svc();
+        let stray = Pdu::DataIn(DataIn {
+            final_pdu: true,
+            status_present: true,
+            status: ScsiStatus::Good,
+            lun: 0,
+            itt: 40,
+            ttt: 0xFFFF_FFFF,
+            stat_sn: 1,
+            exp_cmd_sn: 2,
+            max_cmd_sn: 66,
+            data_sn: 0,
+            buffer_offset: 0,
+            residual: 0,
+            data: Bytes::from(vec![0x5A; 512]),
+        });
+        assert!(enc.pdu(Dir::ToInitiator, stray).is_empty());
+        assert!(enc
+            .pdu(Dir::ToTarget, data_out(41, 0, vec![0x5A; 512]))
+            .is_empty());
+        assert_eq!(enc.counters(), (0, 0));
     }
 
     #[test]
@@ -491,7 +519,7 @@ mod tests {
 
     #[test]
     fn xts_never_transforms_on_passive_path() {
-        let mut enc = svc();
+        let mut enc = EncryptionService::aes_xts(&[0x42; 64]);
         let mut data = vec![1u8; 512];
         let orig = data.clone();
         enc.transform(Dir::ToTarget, 0, &mut data);

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod assembly;
 mod cache;
 pub mod catalog;
 mod compress;

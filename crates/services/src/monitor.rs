@@ -7,13 +7,13 @@
 //! [`Reconstructor`]'s system view), **Update** (metadata writes refresh
 //! the view) and **Analysis** (logging + watch-list alerts).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use bytes::BytesMut;
-
-use storm_core::{Dir, FsAccess, FsOp, FsTargetKind, Reconstructor, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, Pdu};
+use storm_core::{CmdOp, Dir, FsAccess, FsOp, FsTargetKind, Reconstructor, StorageService, SvcCtx};
+use storm_iscsi::Pdu;
 use storm_sim::SimDuration;
+
+use crate::assembly::WriteAssembly;
 
 /// Monitor configuration.
 #[derive(Debug, Clone, Default)]
@@ -39,22 +39,14 @@ impl std::fmt::Display for NumberedAccess {
     }
 }
 
-#[derive(Debug)]
-struct WriteAssembly {
-    lba: u64,
-    buf: BytesMut,
-    received: usize,
-    expected: usize,
-}
-
 /// The storage access monitor service (active relay).
 pub struct MonitorService {
     cfg: MonitorConfig,
     recon: Reconstructor,
     log: Vec<NumberedAccess>,
     next_id: u64,
-    writes: HashMap<u32, WriteAssembly>,
-    reads: HashMap<u32, (u64, u32)>,
+    /// Writes still gathering their data, by command key.
+    writes: BTreeMap<u64, WriteAssembly>,
 }
 
 impl MonitorService {
@@ -65,8 +57,7 @@ impl MonitorService {
             recon,
             log: Vec::new(),
             next_id: 1,
-            writes: HashMap::new(),
-            reads: HashMap::new(),
+            writes: BTreeMap::new(),
         }
     }
 
@@ -135,61 +126,33 @@ impl StorageService for MonitorService {
     }
 
     fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
-        match (&pdu, dir) {
-            (Pdu::ScsiCommand(c), Dir::ToTarget) => {
-                if let Ok(cdb) = Cdb::parse(&c.cdb) {
-                    match cdb {
-                        Cdb::Read { lba, sectors } => {
-                            self.reads.insert(c.itt, (lba, sectors));
-                            let rows =
-                                self.recon
-                                    .observe(FsOp::Read, lba, sectors as usize * 512, None);
-                            self.record(cx, rows);
-                        }
-                        Cdb::Write { lba, .. } => {
-                            let expected = c.edtl as usize;
-                            let mut asm = WriteAssembly {
-                                lba,
-                                buf: BytesMut::zeroed(expected),
-                                received: 0,
-                                expected,
-                            };
-                            let imm = c.data.len().min(expected);
-                            asm.buf[..imm].copy_from_slice(&c.data[..imm]);
-                            asm.received = imm;
-                            if asm.received >= asm.expected {
-                                let data = asm.buf.freeze();
-                                self.observe_write(cx, lba, &data);
-                            } else {
-                                self.writes.insert(c.itt, asm);
-                            }
-                        }
-                        _ => {}
+        let Some(cmd) = cx.cmd() else {
+            return cx.forward(pdu);
+        };
+        match (&pdu, dir, cmd.op) {
+            (Pdu::ScsiCommand(_), Dir::ToTarget, CmdOp::Read) => {
+                let rows = self.recon.observe(FsOp::Read, cmd.lba, cmd.bytes(), None);
+                self.record(cx, rows);
+            }
+            (Pdu::ScsiCommand(c), Dir::ToTarget, CmdOp::Write) => {
+                let mut asm = WriteAssembly::new(&cmd);
+                match asm.push(0, &c.data) {
+                    Some(data) => self.observe_write(cx, cmd.lba, &data),
+                    None => {
+                        self.writes.insert(cmd.key, asm);
                     }
                 }
             }
-            (Pdu::DataOut(d), Dir::ToTarget) => {
-                let complete = if let Some(asm) = self.writes.get_mut(&d.itt) {
-                    let off = d.buffer_offset as usize;
-                    let end = (off + d.data.len()).min(asm.expected);
-                    if off < end {
-                        asm.buf[off..end].copy_from_slice(&d.data[..end - off]);
-                        asm.received += end - off;
-                    }
-                    asm.received >= asm.expected
-                } else {
-                    false
-                };
-                if complete {
-                    if let Some(asm) = self.writes.remove(&d.itt) {
-                        let data = asm.buf.freeze();
-                        self.observe_write(cx, asm.lba, &data);
-                    }
+            (Pdu::DataOut(d), Dir::ToTarget, _) => {
+                let off = d.buffer_offset as usize;
+                let asm = self.writes.get_mut(&cmd.key);
+                if let Some(data) = asm.and_then(|a| a.push(off, &d.data)) {
+                    self.writes.remove(&cmd.key);
+                    self.observe_write(cx, cmd.lba, &data);
                 }
             }
-            (Pdu::ScsiResponse(r), Dir::ToInitiator) => {
-                self.reads.remove(&r.itt);
-                self.writes.remove(&r.itt);
+            (Pdu::ScsiResponse(_), Dir::ToInitiator, _) => {
+                self.writes.remove(&cmd.key);
             }
             _ => {}
         }
@@ -216,8 +179,9 @@ mod tests {
     use bytes::Bytes;
     use storm_block::{AccessKind, MemDisk, RecordingDevice};
     use storm_core::service::SvcAction;
+    use storm_core::Cmd;
     use storm_extfs::ExtFs;
-    use storm_iscsi::ScsiCommand;
+    use storm_iscsi::{Cdb, ScsiCommand};
     use storm_sim::SimTime;
 
     fn monitored_fs() -> (ExtFs<RecordingDevice<MemDisk>>, MonitorService) {
@@ -240,7 +204,6 @@ mod tests {
     fn feed_log(mon: &mut MonitorService, log: Vec<storm_block::AccessRecord>) -> Vec<SvcAction> {
         let mut actions = Vec::new();
         for (itt, rec) in (101u32..).zip(log) {
-            let mut cx = SvcCtx::new(SimTime::ZERO);
             let (read, write, cdb, data) = match rec.kind {
                 AccessKind::Read => (
                     true,
@@ -274,6 +237,12 @@ mod tests {
                 cdb: cdb.to_bytes(),
                 data,
             });
+            // The relay's command table entry for the PDU.
+            let cmd = Cmd::of_scsi(&pdu).map(|c| Cmd {
+                key: u64::from(itt),
+                ..c
+            });
+            let mut cx = SvcCtx::new(SimTime::ZERO).with_cmd(cmd);
             mon.on_pdu(&mut cx, Dir::ToTarget, pdu);
             actions.extend(cx.take_actions());
         }

@@ -12,9 +12,11 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, Pdu, ScsiCommand};
+use storm_core::{Cmd, CmdOp, Dir, StorageService, SvcCtx};
+use storm_iscsi::{Pdu, ScsiCommand};
 use storm_sim::SimDuration;
+
+use crate::assembly::WriteAssembly;
 
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,7 +35,8 @@ pub struct ReplicationStats {
 
 #[derive(Debug, Clone)]
 struct PendingRead {
-    cmd: ScsiCommand,
+    pdu: ScsiCommand,
+    cmd: Cmd,
     replica: usize,
 }
 
@@ -54,7 +57,8 @@ pub struct ReplicationService {
     /// Measurements.
     pub stats: ReplicationStats,
     per_byte: SimDuration,
-    write_bufs: BTreeMap<u32, (u64, bytes::BytesMut, usize, usize)>,
+    /// Writes still gathering their data, by command key.
+    writes: BTreeMap<u64, WriteAssembly>,
     /// Consecutive I/O failures per replica; at `fail_threshold` the
     /// replica is declared unresponsive and removed (the paper's
     /// "eliminated from future operations").
@@ -74,7 +78,7 @@ impl ReplicationService {
             pending_reads: BTreeMap::new(),
             stats: ReplicationStats::default(),
             per_byte: SimDuration::from_nanos(0),
-            write_bufs: BTreeMap::new(),
+            writes: BTreeMap::new(),
             consecutive_failures: vec![0; replica_count],
             fail_threshold: 3,
         }
@@ -115,6 +119,21 @@ impl ReplicationService {
         None
     }
 
+    /// Serves a read from the next source, the primary volume or a
+    /// replica; true when a replica serves it.
+    fn dispatch_read(&mut self, cx: &mut SvcCtx, pdu: ScsiCommand, cmd: Cmd) -> bool {
+        let Some(replica) = self.pick_read_source() else {
+            self.stats.primary_reads += 1;
+            cx.forward(Pdu::ScsiCommand(pdu));
+            return false;
+        };
+        let ctx_id = self.ctx();
+        self.pending_reads
+            .insert(ctx_id, PendingRead { pdu, cmd, replica });
+        cx.replica_read(replica, cmd.lba, cmd.sectors, ctx_id);
+        true
+    }
+
     fn mirror_write(&mut self, cx: &mut SvcCtx, lba: u64, data: &Bytes) {
         for i in 0..self.replica_count {
             if self.alive[i] {
@@ -132,64 +151,40 @@ impl StorageService for ReplicationService {
     }
 
     fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
-        if dir == Dir::ToInitiator {
-            cx.forward(pdu);
-            return;
-        }
-        match pdu {
-            Pdu::ScsiCommand(c) => {
-                match Cdb::parse(&c.cdb) {
-                    Ok(Cdb::Write { lba, .. }) => {
-                        let expected = c.edtl as usize;
-                        // Mirror immediate data now; stage the rest.
-                        if c.data.len() >= expected {
-                            self.mirror_write(cx, lba, &c.data);
-                        } else {
-                            let mut buf = bytes::BytesMut::zeroed(expected);
-                            let imm = c.data.len();
-                            buf[..imm].copy_from_slice(&c.data);
-                            self.write_bufs.insert(c.itt, (lba, buf, imm, expected));
-                        }
-                        cx.forward(Pdu::ScsiCommand(c));
+        let Some(cmd) = cx.cmd() else {
+            return cx.forward(pdu);
+        };
+        match (pdu, dir, cmd.op) {
+            (Pdu::ScsiCommand(c), Dir::ToTarget, CmdOp::Write) => {
+                // Mirror a write once all its data is here.
+                let mut asm = WriteAssembly::new(&cmd);
+                match asm.push(0, &c.data) {
+                    Some(data) => self.mirror_write(cx, cmd.lba, &data),
+                    None => {
+                        self.writes.insert(cmd.key, asm);
                     }
-                    Ok(Cdb::Read { lba, sectors }) => match self.pick_read_source() {
-                        None => {
-                            self.stats.primary_reads += 1;
-                            cx.forward(Pdu::ScsiCommand(c));
-                        }
-                        Some(replica) => {
-                            self.stats.striped_reads += 1;
-                            let ctx_id = self.ctx();
-                            self.pending_reads
-                                .insert(ctx_id, PendingRead { cmd: c, replica });
-                            cx.replica_read(replica, lba, sectors, ctx_id);
-                        }
-                    },
-                    _ => cx.forward(Pdu::ScsiCommand(c)),
+                }
+                cx.forward(Pdu::ScsiCommand(c));
+            }
+            (Pdu::ScsiCommand(c), Dir::ToTarget, CmdOp::Read) => {
+                if self.dispatch_read(cx, c, cmd) {
+                    self.stats.striped_reads += 1;
                 }
             }
-            Pdu::DataOut(d) => {
-                let complete =
-                    if let Some((_, buf, recv, expected)) = self.write_bufs.get_mut(&d.itt) {
-                        let off = d.buffer_offset as usize;
-                        let end = (off + d.data.len()).min(*expected);
-                        if off < end {
-                            buf[off..end].copy_from_slice(&d.data[..end - off]);
-                            *recv += end - off;
-                        }
-                        *recv >= *expected
-                    } else {
-                        false
-                    };
-                if complete {
-                    if let Some((lba, buf, _, _)) = self.write_bufs.remove(&d.itt) {
-                        let data = buf.freeze();
-                        self.mirror_write(cx, lba, &data);
-                    }
+            (Pdu::DataOut(d), Dir::ToTarget, _) => {
+                let off = d.buffer_offset as usize;
+                let asm = self.writes.get_mut(&cmd.key);
+                if let Some(data) = asm.and_then(|a| a.push(off, &d.data)) {
+                    self.writes.remove(&cmd.key);
+                    self.mirror_write(cx, cmd.lba, &data);
                 }
                 cx.forward(Pdu::DataOut(d));
             }
-            other => cx.forward(other),
+            (pdu @ Pdu::ScsiResponse(_), Dir::ToInitiator, _) => {
+                self.writes.remove(&cmd.key);
+                cx.forward(pdu);
+            }
+            (other, _, _) => cx.forward(other),
         }
     }
 
@@ -220,30 +215,12 @@ impl StorageService for ReplicationService {
         }
         if let Some(pending) = pending {
             if ok {
-                cx.reply_read(pending.cmd.itt, data);
+                cx.reply_read(pending.pdu.itt, data);
             } else {
                 // Retry: another replica, else fall back to the primary.
                 // `pick_read_source` only ever returns alive replicas.
                 self.stats.retried_reads += 1;
-                match self.pick_read_source() {
-                    Some(replica) => {
-                        if let Ok(Cdb::Read { lba, sectors }) = Cdb::parse(&pending.cmd.cdb) {
-                            let ctx_id = self.ctx();
-                            self.pending_reads.insert(
-                                ctx_id,
-                                PendingRead {
-                                    cmd: pending.cmd,
-                                    replica,
-                                },
-                            );
-                            cx.replica_read(replica, lba, sectors, ctx_id);
-                        }
-                    }
-                    None => {
-                        self.stats.primary_reads += 1;
-                        cx.forward(Pdu::ScsiCommand(pending.cmd));
-                    }
-                }
+                self.dispatch_read(cx, pending.pdu, pending.cmd);
             }
         } else if !ok {
             self.stats.write_failures += 1;
@@ -259,35 +236,13 @@ impl StorageService for ReplicationService {
                 self.replica_count
             ));
             // Unfinished reads on that replica are re-dispatched.
-            let stranded: Vec<u64> = self
-                .pending_reads
-                .iter()
-                .filter(|(_, p)| p.replica == replica)
-                .map(|(c, _)| *c)
-                .collect();
-            for ctx_id in stranded {
-                if let Some(pending) = self.pending_reads.remove(&ctx_id) {
-                    self.stats.retried_reads += 1;
-                    match self.pick_read_source() {
-                        Some(r) => {
-                            if let Ok(Cdb::Read { lba, sectors }) = Cdb::parse(&pending.cmd.cdb) {
-                                let new_ctx = self.ctx();
-                                self.pending_reads.insert(
-                                    new_ctx,
-                                    PendingRead {
-                                        cmd: pending.cmd,
-                                        replica: r,
-                                    },
-                                );
-                                cx.replica_read(r, lba, sectors, new_ctx);
-                            }
-                        }
-                        None => {
-                            self.stats.primary_reads += 1;
-                            cx.forward(Pdu::ScsiCommand(pending.cmd));
-                        }
-                    }
-                }
+            let (stranded, kept): (BTreeMap<_, _>, _) = std::mem::take(&mut self.pending_reads)
+                .into_iter()
+                .partition(|(_, p)| p.replica == replica);
+            self.pending_reads = kept;
+            for pending in stranded.into_values() {
+                self.stats.retried_reads += 1;
+                self.dispatch_read(cx, pending.pdu, pending.cmd);
             }
         }
     }
@@ -311,7 +266,7 @@ impl std::fmt::Debug for ReplicationService {
 mod tests {
     use super::*;
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::ScsiStatus;
+    use storm_iscsi::{Cdb, ScsiStatus};
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Pdu {
@@ -347,10 +302,24 @@ mod tests {
         })
     }
 
-    fn actions(svc: &mut ReplicationService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
-        let mut cx = SvcCtx::new(SimTime::ZERO);
+    /// Runs a PDU of `cmd` through the service.
+    fn actions_of(
+        svc: &mut ReplicationService,
+        dir: Dir,
+        pdu: Pdu,
+        cmd: Option<Cmd>,
+    ) -> Vec<SvcAction> {
+        let mut cx = SvcCtx::new(SimTime::ZERO).with_cmd(cmd);
         svc.on_pdu(&mut cx, dir, pdu);
         cx.take_actions()
+    }
+
+    /// Runs a PDU through the service; a SCSI Command opens its own
+    /// command, keyed by its itt.
+    fn actions(svc: &mut ReplicationService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
+        let key = u64::from(pdu.itt());
+        let cmd = Cmd::of_scsi(&pdu).map(|c| Cmd { key, ..c });
+        actions_of(svc, dir, pdu, cmd)
     }
 
     #[test]
@@ -394,7 +363,8 @@ mod tests {
             cdb: Cdb::Write { lba: 0, sectors: 4 }.to_bytes(),
             data: Bytes::from(full[..1024].to_vec()),
         });
-        let acts = actions(&mut svc, Dir::ToTarget, cmd);
+        let write = Cmd::of_scsi(&cmd).map(|c| Cmd { key: 4, ..c });
+        let acts = actions_of(&mut svc, Dir::ToTarget, cmd, write);
         assert!(!acts.iter().any(|a| matches!(a, SvcAction::Replica { .. })));
         // The trailing Data-Out completes the buffer and triggers mirror.
         let dout = Pdu::DataOut(storm_iscsi::DataOut {
@@ -407,7 +377,7 @@ mod tests {
             buffer_offset: 1024,
             data: Bytes::from(full[1024..].to_vec()),
         });
-        let acts = actions(&mut svc, Dir::ToTarget, dout);
+        let acts = actions_of(&mut svc, Dir::ToTarget, dout, write);
         let mirrored = acts.iter().any(
             |a| matches!(a, SvcAction::Replica { io: ReplicaIo::Write { lba: 0, data }, .. } if data.len() == 2048),
         );

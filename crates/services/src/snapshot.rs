@@ -26,8 +26,8 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 
 use storm_block::CowExtentMap;
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, Pdu};
+use storm_core::{Cmd, CmdOp, Dir, StorageService, SvcCtx};
+use storm_iscsi::Pdu;
 use storm_sim::SimDuration;
 
 /// Replica session index of the primary volume (pre-image reads).
@@ -55,8 +55,9 @@ pub struct SnapshotService {
     fetching: BTreeSet<u64>,
     /// Extents we gave up protecting after a failed fetch.
     broken: BTreeSet<u64>,
-    /// Write-path PDUs queued behind in-flight fetches, arrival order.
-    parked: Vec<Pdu>,
+    /// Write-path PDUs queued behind in-flight fetches, arrival order,
+    /// each with its command.
+    parked: Vec<(Pdu, Cmd)>,
     per_byte: SimDuration,
     /// Measurements.
     pub stats: SnapStats,
@@ -126,15 +127,11 @@ impl SnapshotService {
     /// the queue drains).
     fn drain_parked(&mut self, cx: &mut SvcCtx) {
         while !self.parked.is_empty() {
-            let pdu = self.parked.remove(0);
-            if let Pdu::ScsiCommand(c) = &pdu {
-                if c.write {
-                    if let Ok(Cdb::Write { lba, sectors }) = Cdb::parse(&c.cdb) {
-                        if self.fetch_preimages(cx, lba, sectors as u64) {
-                            self.parked.insert(0, pdu);
-                            return;
-                        }
-                    }
+            let (pdu, cmd) = self.parked.remove(0);
+            if let Pdu::ScsiCommand(_) = &pdu {
+                if self.fetch_preimages(cx, cmd.lba, cmd.sectors as u64) {
+                    self.parked.insert(0, (pdu, cmd));
+                    return;
                 }
             }
             cx.forward(pdu);
@@ -148,44 +145,27 @@ impl StorageService for SnapshotService {
     }
 
     fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
-        if dir == Dir::ToInitiator || !self.active() {
-            cx.forward(pdu);
-            return;
-        }
-        match pdu {
-            Pdu::ScsiCommand(c) if c.write => {
+        let cmd = match cx.cmd() {
+            Some(cmd) if dir == Dir::ToTarget && self.active() => cmd,
+            _ => return cx.forward(pdu),
+        };
+        let park = match &pdu {
+            Pdu::ScsiCommand(c) if cmd.op == CmdOp::Write => {
                 cx.charge(self.per_byte * c.edtl as u64);
-                if !self.parked.is_empty() {
-                    // Keep write order behind in-flight fetches.
-                    self.stats.parked_pdus += 1;
-                    self.parked.push(Pdu::ScsiCommand(c));
-                    return;
-                }
-                if let Ok(Cdb::Write { lba, sectors }) = Cdb::parse(&c.cdb) {
-                    if self.fetch_preimages(cx, lba, sectors as u64) {
-                        self.stats.parked_pdus += 1;
-                        self.parked.push(Pdu::ScsiCommand(c));
-                        return;
-                    }
-                }
-                cx.forward(Pdu::ScsiCommand(c));
+                // Keep write order behind in-flight fetches.
+                !self.parked.is_empty() || self.fetch_preimages(cx, cmd.lba, cmd.sectors as u64)
             }
-            Pdu::DataOut(d) => {
-                // A Data-Out belongs to the most recent write with its
-                // ITT: if that write is parked, its data rides behind it
-                // (the command's full extent range is already fetching).
-                if self
-                    .parked
-                    .iter()
-                    .any(|p| matches!(p, Pdu::ScsiCommand(c) if c.itt == d.itt))
-                {
-                    self.stats.parked_pdus += 1;
-                    self.parked.push(Pdu::DataOut(d));
-                } else {
-                    cx.forward(Pdu::DataOut(d));
-                }
-            }
-            other => cx.forward(other),
+            // While any PDU of its write is parked, a Data-Out rides
+            // behind it (the command's full extent range is already
+            // fetching), so the write's data keeps its order.
+            Pdu::DataOut(_) => self.parked.iter().any(|(_, c)| c.key == cmd.key),
+            _ => false,
+        };
+        if park {
+            self.stats.parked_pdus += 1;
+            self.parked.push((pdu, cmd));
+        } else {
+            cx.forward(pdu);
         }
     }
 
@@ -257,7 +237,7 @@ mod tests {
     use super::*;
     use storm_block::{BlockDevice, MemDisk, SECTOR_SIZE};
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::ScsiCommand;
+    use storm_iscsi::{Cdb, ScsiCommand};
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Vec<u8>) -> Pdu {
@@ -293,8 +273,12 @@ mod tests {
         })
     }
 
+    /// Runs a PDU through the service; a SCSI Command opens its own
+    /// command, keyed by its itt.
     fn actions(svc: &mut SnapshotService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
-        let mut cx = SvcCtx::new(SimTime::ZERO);
+        let key = u64::from(pdu.itt());
+        let cmd = Cmd::of_scsi(&pdu).map(|c| Cmd { key, ..c });
+        let mut cx = SvcCtx::new(SimTime::ZERO).with_cmd(cmd);
         svc.on_pdu(&mut cx, dir, pdu);
         cx.take_actions()
     }

@@ -133,6 +133,11 @@ fn encryption_round_trip(transport: TransportKind) {
     let xts = storm_crypto::AesXts::from_master_key(&[0x5C; 64]);
     xts.decrypt_run(4096, 512, &mut at_rest);
     assert_eq!(at_rest, plain, "{transport:?}");
+    // The drained relay holds no open command: the write retired on
+    // its status, the read on its final status-carrying Data-In.
+    let relay = relay_of(&mut cloud, &deployment);
+    assert!(relay.pdus_forwarded() > 0);
+    assert_eq!(relay.open_commands(), 0, "{transport:?}: commands leaked");
 }
 
 /// Case 2 on the passive path: the stream cipher transforms packets in

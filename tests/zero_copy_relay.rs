@@ -7,7 +7,7 @@ use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload}
 use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
 use storm::core::{MbSpec, RelayMode, StormPlatform};
 use storm::iscsi::TransportKind;
-use storm::services::ReplicationService;
+use storm::services::{EncryptionService, ReplicationService};
 use storm_sim::SimTime;
 
 /// Writes a pattern, reads it back, verifies, repeats; patterns differ
@@ -16,6 +16,8 @@ use storm_sim::SimTime;
 struct PatternRounds {
     salt: u8,
     lba: u64,
+    /// Bytes per write and per read-back.
+    bytes: usize,
     rounds: usize,
     verified: usize,
     wrote: Option<ReqId>,
@@ -23,12 +25,11 @@ struct PatternRounds {
 }
 
 impl PatternRounds {
-    const BYTES: usize = 16 * 1024;
-
-    fn new(salt: u8, lba: u64, rounds: usize) -> Self {
+    fn new(salt: u8, lba: u64, bytes: usize, rounds: usize) -> Self {
         PatternRounds {
             salt,
             lba,
+            bytes,
             rounds,
             verified: 0,
             wrote: None,
@@ -37,11 +38,11 @@ impl PatternRounds {
     }
 
     fn lba_for(&self, round: usize) -> u64 {
-        self.lba + (round as u64) * (Self::BYTES as u64 / 512)
+        self.lba + (round as u64) * (self.bytes as u64 / 512)
     }
 
     fn pattern(&self, round: usize) -> Vec<u8> {
-        (0..Self::BYTES)
+        (0..self.bytes)
             .map(|i| ((i * 3 + 11 + self.salt as usize + round * 7) % 251) as u8)
             .collect()
     }
@@ -55,7 +56,7 @@ impl Workload for PatternRounds {
         assert!(result.ok, "I/O failed for salt {}", self.salt);
         if Some(req) == self.wrote {
             self.wrote = None;
-            self.read = Some(io.read(self.lba_for(self.verified), (Self::BYTES / 512) as u32));
+            self.read = Some(io.read(self.lba_for(self.verified), (self.bytes / 512) as u32));
         } else if Some(req) == self.read {
             self.read = None;
             assert_eq!(
@@ -94,7 +95,7 @@ fn passthrough_relay_forwards_verbatim_with_zero_copies() {
         0,
         "vm:zc",
         &vol,
-        Box::new(PatternRounds::new(0, 64, 8)),
+        Box::new(PatternRounds::new(0, 64, 16 * 1024, 8)),
         21,
         false,
     );
@@ -151,7 +152,7 @@ fn passthrough_relay_stays_zero_copy_over_nvmeq() {
         0,
         "vm:zc-nvq",
         &vol,
-        Box::new(PatternRounds::new(5, 64, 8)),
+        Box::new(PatternRounds::new(5, 64, 16 * 1024, 8)),
         21,
         false,
     );
@@ -188,29 +189,58 @@ fn passthrough_relay_stays_zero_copy_over_nvmeq() {
     );
 }
 
-/// Regression test for side-action routing: with TWO initiators on one
-/// middle-box, replica replies and forwards must go back to the
-/// originating pair. (The relay used to emit side actions on whichever
-/// pair was processed last, which cross-delivered replies once a second
-/// initiator logged in.)
+/// The two services that keep per-command state across PDUs.
+#[derive(Debug, Clone, Copy)]
+enum Keeper {
+    /// Mirrors writes to a replica and serves striped reads from it
+    /// through side replies.
+    Replication,
+    /// AES-XTS encryption, which tracks each command's lba.
+    Encryption,
+}
+
+/// Regression test for per-flow command state: with TWO initiators on
+/// one middle-box, each counting its itts from 1, every service must
+/// see its own flow's commands, and side actions (replica-served reads)
+/// must go back to the originating pair. Both services, both guest
+/// transports, and writes small enough to travel as immediate data as
+/// well as ones that need Data-Out PDUs.
 #[test]
 fn two_initiators_side_actions_route_to_originating_pair() {
+    for keeper in [Keeper::Replication, Keeper::Encryption] {
+        for transport in [TransportKind::Iscsi, TransportKind::Nvmeq] {
+            for bytes in [16 * 1024, 64 * 1024] {
+                two_initiators(keeper, transport, bytes);
+            }
+        }
+    }
+}
+
+fn two_initiators(keeper: Keeper, transport: TransportKind, bytes: usize) {
+    let case = format!("{keeper:?} over {transport:?}, {} KiB", bytes / 1024);
     let mut cloud = Cloud::build(CloudConfig {
         storage_hosts: 2,
+        transport,
         ..CloudConfig::default()
     });
     let platform = StormPlatform::default();
     let vol = cloud.create_volume(64 << 20, 0);
     let rep = cloud.create_volume(64 << 20, 1);
-    let svc = ReplicationService::new(1, true);
-    let mbs = vec![MbSpec {
-        host_idx: 3,
-        mode: RelayMode::Active,
-        services: vec![Box::new(svc)],
-        replicas: vec![ReplicaTarget {
-            portal: rep.portal,
-            iqn: rep.iqn.clone(),
-        }],
+    let mbs = vec![match keeper {
+        Keeper::Replication => MbSpec {
+            host_idx: 3,
+            mode: RelayMode::Active,
+            services: vec![Box::new(ReplicationService::new(1, true))],
+            replicas: vec![ReplicaTarget {
+                portal: rep.portal,
+                iqn: rep.iqn.clone(),
+            }],
+        },
+        Keeper::Encryption => MbSpec::with_services(
+            3,
+            RelayMode::Active,
+            vec![Box::new(EncryptionService::aes_xts(&[0x3A; 64]))],
+        ),
     }];
     let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
 
@@ -222,7 +252,7 @@ fn two_initiators_side_actions_route_to_originating_pair() {
         0,
         "vm:tenant-a",
         &vol,
-        Box::new(PatternRounds::new(17, 0, 24)),
+        Box::new(PatternRounds::new(17, 0, bytes, 24)),
         22,
         false,
     );
@@ -232,15 +262,16 @@ fn two_initiators_side_actions_route_to_originating_pair() {
         1,
         "vm:tenant-b",
         &vol,
-        Box::new(PatternRounds::new(91, 32 * 1024, 24)),
+        Box::new(PatternRounds::new(91, 32 * 1024, bytes, 24)),
         23,
         false,
     );
     cloud.net.run_until(SimTime::from_nanos(30_000_000_000));
 
-    for (idx, app, rounds) in [(0, app_a, 24), (1, app_b, 24)] {
+    for (idx, app) in [(0, app_a), (1, app_b)] {
         let client = cloud.client_mut(idx, app);
-        assert_eq!(client.stats.errors, 0, "client {idx} saw errors");
+        assert_eq!(client.stats.errors, 0, "{case}: client {idx} saw errors");
+        assert_eq!(client.transport().kind(), transport);
         assert_eq!(
             client
                 .workload_ref()
@@ -248,30 +279,38 @@ fn two_initiators_side_actions_route_to_originating_pair() {
                 .downcast_ref::<PatternRounds>()
                 .unwrap()
                 .verified,
-            rounds,
-            "client {idx} must verify all rounds"
+            24,
+            "{case}: client {idx} must verify all rounds"
         );
     }
 
-    // The replies were genuinely served by side actions: reads striped to
-    // the replica produce Reply actions, writes produce replica Forwards.
     let relay = cloud
         .net
         .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
         .unwrap()
         .downcast_mut::<ActiveRelayMb>()
         .unwrap();
-    let svc = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<ReplicationService>()
-        .unwrap();
-    assert!(
-        svc.stats.replica_writes > 0,
-        "writes must mirror to replica"
-    );
-    assert!(
-        svc.stats.striped_reads > 0,
-        "reads must stripe to the replica (Reply side actions)"
-    );
+    assert_eq!(relay.open_commands(), 0, "{case}: every command retired");
+    let svc = relay.service(0).unwrap();
+    match keeper {
+        // The replies were genuinely served by side actions: reads
+        // striped to the replica produce Reply actions, writes produce
+        // replica Forwards.
+        Keeper::Replication => {
+            let svc = svc.downcast_ref::<ReplicationService>().unwrap();
+            assert!(
+                svc.stats.replica_writes > 0,
+                "{case}: writes must mirror to replica"
+            );
+            assert!(
+                svc.stats.striped_reads > 0,
+                "{case}: reads must stripe to the replica (Reply side actions)"
+            );
+        }
+        Keeper::Encryption => {
+            let svc = svc.downcast_ref::<EncryptionService>().unwrap();
+            let total = 2 * 24 * bytes as u64;
+            assert_eq!(svc.counters(), (total, total), "{case}");
+        }
+    }
 }
