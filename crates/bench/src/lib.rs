@@ -1,12 +1,11 @@
-//! Shared experiment runners behind the per-figure bench targets.
-//!
-//! Every `cargo bench` target in this crate regenerates one table or
-//! figure of the paper's evaluation (see DESIGN.md's experiment index).
-//! The runners here assemble the testbed exactly as §V describes: a
-//! cloud of compute hosts + one Cinder storage host, a 20 GB volume, the
-//! tenant VM on one host and — in the middle-box cases — the ingress
-//! gateway, middle-box VM and egress gateway spread across *different*
-//! physical hosts ("to measure the routing impact in the worst case").
+//! Shared experiment runners behind `bench_smoke`'s rows and the
+//! paper-figure shape tests (`tests/paper_shapes.rs`; see DESIGN.md's
+//! experiment index). The runners assemble the testbed exactly as §V
+//! describes: a cloud of compute hosts + one Cinder storage host, a 20 GB
+//! volume, the tenant VM on one host and — in the middle-box cases — the
+//! ingress gateway, middle-box VM and egress gateway spread across
+//! *different* physical hosts ("to measure the routing impact in the
+//! worst case").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -116,7 +115,7 @@ pub fn build_cloud(seed: u64) -> Cloud {
 
 /// Attaches `volume` on compute0 over the requested path and returns the
 /// client app.
-pub fn attach_over_path(
+fn attach_over_path(
     cloud: &mut Cloud,
     mode: PathMode,
     volume: &VolumeHandle,
@@ -442,20 +441,6 @@ pub fn transport_point(
         pdus_forwarded,
         copy,
     }
-}
-
-/// Formats a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    cells.join("  | ")
-}
-
-/// Pretty-prints a normalized value the way the paper's bar charts label
-/// them.
-pub fn norm(value: f64, baseline: f64) -> String {
-    if baseline == 0.0 {
-        return "-".into();
-    }
-    format!("{:.2}", value / baseline)
 }
 
 #[cfg(test)]

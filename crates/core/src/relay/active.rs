@@ -449,7 +449,8 @@ impl ActiveRelayMb {
                         SvcAction::Forward(p) => next.push(p),
                         SvcAction::Reply(p) => {
                             let cmds = &mut self.pairs[pair_idx].cmds;
-                            out.replies.push(outbound(cmds, dir.flip(), p));
+                            let unit = outbound(cmds, &mut self.services, dir.flip(), p);
+                            out.replies.push(unit);
                         }
                         SvcAction::Replica { replica, io, ctx } => {
                             out.replica_ops.push((idx, replica, io, ctx))
@@ -475,13 +476,15 @@ impl ActiveRelayMb {
             }
             frontier = next;
         }
-        let cmds = &mut self.pairs[pair_idx].cmds;
+        let (cmds, services) = (&mut self.pairs[pair_idx].cmds, &mut self.services);
         if frontier.len() == 1
             && frontier[0].encode_bhs() == unit.in_bhs
             && frontier[0].data().same_storage(&unit.in_data)
         {
             self.copies.verbatim_forwards += 1;
-            cmds.leave(dir, &frontier[0]);
+            if let Some(cmd) = cmds.retire(dir, &frontier[0]) {
+                retire_in_chain(services, cmd.key);
+            }
             if !unit.entry_wire.is_empty() {
                 out.forwards.push(OutUnit::Verbatim {
                     entry_wire: unit.entry_wire,
@@ -490,7 +493,9 @@ impl ActiveRelayMb {
             }
         } else {
             out.verbatim = false;
-            let forwards = frontier.into_iter().map(|p| outbound(cmds, dir, p));
+            let forwards = frontier
+                .into_iter()
+                .map(|p| outbound(cmds, services, dir, p));
             out.forwards.extend(forwards);
         }
     }
@@ -548,7 +553,7 @@ impl ActiveRelayMb {
             return;
         };
         let p = &mut self.pairs[i];
-        let unit = outbound(&mut p.cmds, dir, pdu);
+        let unit = outbound(&mut p.cmds, &mut self.services, dir, pdu);
         let (q, sock) = match dir {
             Dir::ToTarget => (&mut p.c_out, p.client),
             Dir::ToInitiator => (&mut p.s_out, p.server),
@@ -989,9 +994,28 @@ impl ActiveRelayMb {
 
 /// An outbound PDU travelling in `dir` with the command it belongs to; a
 /// final status leaving towards the initiator retires that command.
-fn outbound(cmds: &mut CmdTable, dir: Dir, pdu: Pdu) -> OutUnit {
-    let cmd = cmds.leave(dir, &pdu);
+fn outbound(
+    cmds: &mut CmdTable,
+    services: &mut [Box<dyn StorageService>],
+    dir: Dir,
+    pdu: Pdu,
+) -> OutUnit {
+    let cmd = match cmds.retire(dir, &pdu) {
+        Some(done) => {
+            retire_in_chain(services, done.key);
+            Some(done)
+        }
+        None => cmds.get(pdu.itt()),
+    };
     OutUnit::Pdu(pdu, cmd)
+}
+
+/// Tells every chain service that the command of `key` retired, however
+/// it ended: a status from the target or a reply from any service.
+fn retire_in_chain(services: &mut [Box<dyn StorageService>], key: u64) {
+    for svc in services {
+        svc.on_retire(key);
+    }
 }
 
 impl App for ActiveRelayMb {

@@ -120,16 +120,16 @@ impl CmdTable {
         self.by_itt.get(&itt).copied()
     }
 
-    /// The command of `pdu`, which is leaving in `dir`; retires it when
-    /// `pdu` carries its final status towards the initiator (a SCSI
+    /// Removes and returns the command `pdu` finishes, when `pdu` leaves
+    /// in `dir` carrying its final status towards the initiator (a SCSI
     /// Response, or a final Data-In with status).
-    pub fn leave(&mut self, dir: Dir, pdu: &Pdu) -> Option<Cmd> {
+    pub fn retire(&mut self, dir: Dir, pdu: &Pdu) -> Option<Cmd> {
         match (dir, pdu) {
             (Dir::ToInitiator, Pdu::ScsiResponse(r)) => self.by_itt.remove(&r.itt),
             (Dir::ToInitiator, Pdu::DataIn(d)) if d.final_pdu && d.status_present => {
                 self.by_itt.remove(&d.itt)
             }
-            _ => self.get(pdu.itt()),
+            _ => None,
         }
     }
 }
@@ -347,6 +347,12 @@ pub trait StorageService: std::any::Any {
     /// A timer requested via [`SvcCtx::set_timer`] fired.
     fn on_timer(&mut self, cx: &mut SvcCtx, token: u64) {}
 
+    /// The command of [`Cmd::key`] `key` retired: its final status left
+    /// towards the initiator, from the target or from any service's
+    /// reply. Drop per-command state here — a service earlier in the
+    /// chain than the one that failed a command never sees its status.
+    fn on_retire(&mut self, key: u64) {}
+
     /// Passive path: the per-byte processing cost this service adds to
     /// forwarded packets.
     fn per_byte_cost(&self) -> SimDuration {
@@ -497,21 +503,17 @@ mod tests {
         assert_eq!(cmds.get(5), Some(cmd));
         // Nothing heading to the target retires, nor does a non-final
         // Data-In...
-        assert_eq!(
-            cmds.leave(Dir::ToTarget, &scsi_status(5, ScsiStatus::Good)),
-            Some(cmd)
-        );
-        assert_eq!(cmds.leave(Dir::ToInitiator, &data_in(5, false)), Some(cmd));
+        let status = scsi_status(5, ScsiStatus::Good);
+        assert_eq!(cmds.retire(Dir::ToTarget, &status), None);
+        assert_eq!(cmds.retire(Dir::ToInitiator, &data_in(5, false)), None);
+        assert_eq!(cmds.get(5), Some(cmd));
         // ...but the final one, carrying status, does.
-        assert_eq!(cmds.leave(Dir::ToInitiator, &data_in(5, true)), Some(cmd));
+        assert_eq!(cmds.retire(Dir::ToInitiator, &data_in(5, true)), Some(cmd));
         assert_eq!(cmds.get(5), None);
         // A SCSI Response retires too; a reused itt gets a fresh key.
         let again = cmds.open(5, fresh, &mut keys);
         assert_ne!(again.key, cmd.key);
-        assert_eq!(
-            cmds.leave(Dir::ToInitiator, &scsi_status(5, ScsiStatus::Good)),
-            Some(again)
-        );
+        assert_eq!(cmds.retire(Dir::ToInitiator, &status), Some(again));
         assert!(cmds.by_itt.is_empty());
     }
 

@@ -118,10 +118,11 @@ impl Default for Config {
             alloc_roots: [
                 ("crates/core/src/relay/codec.rs", "queue_pdu"),
                 ("crates/core/src/relay/active.rs", "outbound"),
+                ("crates/core/src/relay/active.rs", "retire_in_chain"),
                 ("crates/core/src/service.rs", "of_scsi"),
                 ("crates/core/src/service.rs", "open"),
                 ("crates/core/src/service.rs", "get"),
-                ("crates/core/src/service.rs", "leave"),
+                ("crates/core/src/service.rs", "retire"),
                 ("crates/iscsi/src/stream.rs", "feed_bytes"),
                 ("crates/iscsi/src/stream.rs", "push_chunk"),
                 ("crates/iscsi/src/stream.rs", "peek_into"),

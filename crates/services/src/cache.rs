@@ -771,6 +771,10 @@ impl StorageService for WriteBackCacheService {
         }
     }
 
+    fn on_retire(&mut self, key: u64) {
+        self.stages.remove(&key);
+    }
+
     fn per_byte_cost(&self) -> SimDuration {
         if self.armed {
             self.per_byte
@@ -981,11 +985,11 @@ mod tests {
                         // initiator; forwarded commands and Data-Out
                         // leave no status there.
                         SvcAction::Reply(p) => {
-                            self.cmds.leave(Dir::ToInitiator, &p);
+                            self.cmds.retire(Dir::ToInitiator, &p);
                             self.replies.push(p);
                         }
                         SvcAction::Forward(p) => {
-                            self.cmds.leave(Dir::ToInitiator, &p);
+                            self.cmds.retire(Dir::ToInitiator, &p);
                             self.forwards.push(p);
                         }
                         SvcAction::Timer { .. } => self.timers += 1,
@@ -1133,6 +1137,16 @@ mod tests {
         assert!(h.acked(2), "write acked after full transfer");
         assert!(h.forwards.is_empty());
         assert_eq!(h.svc.stats.bytes_absorbed, total as u64);
+    }
+
+    #[test]
+    fn retire_drops_a_staged_write() {
+        let mut h = Harness::new(CacheConfig::default());
+        h.pdu(Dir::ToTarget, write_cmd(2, 0, vec![1u8; 8192], 128 * 1024));
+        let key = h.cmds.get(2).expect("write open").key;
+        assert_eq!(h.svc.stages.len(), 1);
+        h.svc.on_retire(key);
+        assert!(h.svc.stages.is_empty());
     }
 
     #[test]

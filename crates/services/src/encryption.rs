@@ -213,8 +213,8 @@ mod tests {
             let actions = cx.take_actions();
             for a in &actions {
                 match a {
-                    SvcAction::Reply(p) => self.cmds.leave(dir.flip(), p),
-                    SvcAction::Forward(p) => self.cmds.leave(dir, p),
+                    SvcAction::Reply(p) => self.cmds.retire(dir.flip(), p),
+                    SvcAction::Forward(p) => self.cmds.retire(dir, p),
                     _ => None,
                 };
             }

@@ -61,6 +61,11 @@ impl MonitorService {
         }
     }
 
+    /// Writes whose data is still arriving.
+    pub fn open_writes(&self) -> usize {
+        self.writes.len()
+    }
+
     /// The raw access log (classification-time targets).
     pub fn log(&self) -> &[NumberedAccess] {
         &self.log
@@ -151,12 +156,13 @@ impl StorageService for MonitorService {
                     self.observe_write(cx, cmd.lba, &data);
                 }
             }
-            (Pdu::ScsiResponse(_), Dir::ToInitiator, _) => {
-                self.writes.remove(&cmd.key);
-            }
             _ => {}
         }
         cx.forward(pdu);
+    }
+
+    fn on_retire(&mut self, key: u64) {
+        self.writes.remove(&key);
     }
 
     fn per_byte_cost(&self) -> SimDuration {

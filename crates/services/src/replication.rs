@@ -180,12 +180,12 @@ impl StorageService for ReplicationService {
                 }
                 cx.forward(Pdu::DataOut(d));
             }
-            (pdu @ Pdu::ScsiResponse(_), Dir::ToInitiator, _) => {
-                self.writes.remove(&cmd.key);
-                cx.forward(pdu);
-            }
             (other, _, _) => cx.forward(other),
         }
+    }
+
+    fn on_retire(&mut self, key: u64) {
+        self.writes.remove(&key);
     }
 
     fn on_replica_done(
@@ -595,6 +595,19 @@ mod tests {
         assert_eq!(dispatches, 1, "actions: {acts:?}");
         assert_eq!(svc.stats.write_failures, 0);
         assert_eq!(svc.stats.retried_reads, 3);
+    }
+
+    #[test]
+    fn retire_drops_a_write_still_gathering_data() {
+        let mut svc = ReplicationService::new(1, false);
+        let mut cmd = write_cmd(4, 0, Bytes::from(vec![7u8; 2048]));
+        if let Pdu::ScsiCommand(c) = &mut cmd {
+            c.data = c.data.slice(..1024);
+        }
+        let _ = actions(&mut svc, Dir::ToTarget, cmd);
+        assert_eq!(svc.writes.len(), 1);
+        svc.on_retire(4);
+        assert!(svc.writes.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use storm::services::{
     ReplicationService, WriteBackCacheService,
 };
 use storm::workloads::{malware, postmark, TraceWorkload};
-use storm_block::BlockDevice;
+use storm_block::{BlockDevice, MemDisk};
 use storm_sim::{SimDuration, SimRng, SimTime};
 
 /// Both guest transports the active relay bridges.
@@ -726,4 +726,69 @@ fn chained_monitor_then_encryption() {
         .downcast_ref::<storm::core::service::PassthroughService>()
         .unwrap();
     assert!(pt.pdus() > 4, "first chain stage saw the PDUs");
+}
+
+/// Writes 256 KiB at a volume offset past 2^64 bytes, which the stream
+/// cipher cannot reach.
+struct UnreachableWrite {
+    failed: bool,
+}
+
+impl Workload for UnreachableWrite {
+    fn start(&mut self, io: &mut IoCtx<'_>) {
+        io.write(1 << 56, Bytes::from(vec![0x5A; 256 << 10]));
+    }
+    fn completed(&mut self, io: &mut IoCtx<'_>, _req: ReqId, _kind: IoKind, result: IoResult) {
+        self.failed = !result.ok;
+        io.stop();
+    }
+}
+
+/// A service failing a command with a chain reply retires it for the
+/// services before it too, which never see that status: the monitor
+/// drops the write it began assembling from the command's immediate data
+/// when the encryption stage behind it rejects the command.
+#[test]
+fn chain_reply_retires_state_of_earlier_services() {
+    let mut cloud = Cloud::build(CloudConfig::default());
+    let platform = StormPlatform::default();
+    let vol = cloud.create_volume(16 << 20, 0);
+    let fs = storm::extfs::ExtFs::mkfs(MemDisk::with_capacity_bytes(16 << 20)).unwrap();
+    let mut image = fs.into_device().unwrap();
+    postmark::install_image(&mut image, &mut vol.shared.clone());
+    let recon = Reconstructor::from_device(&mut vol.shared.clone(), "/mnt").unwrap();
+    let monitor = MonitorService::new(
+        MonitorConfig {
+            watch: Vec::new(),
+            per_byte_cost: SimDuration::ZERO,
+        },
+        recon,
+    );
+    let enc = EncryptionService::stream_cipher(&[3; 32], &[5; 12]);
+    let mbs = vec![MbSpec::with_services(
+        3,
+        RelayMode::Active,
+        vec![Box::new(monitor), Box::new(enc)],
+    )];
+    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
+    let workload = Box::new(UnreachableWrite { failed: false });
+    let app = platform.attach_volume_steered(
+        &mut cloud,
+        &deployment,
+        0,
+        "vm:t",
+        &vol,
+        workload,
+        3,
+        false,
+    );
+    cloud.net.run_until(SimTime::from_nanos(5_000_000_000));
+    let client = cloud.client_mut(0, app);
+    let w = client.workload_ref().unwrap();
+    assert!(w.downcast_ref::<UnreachableWrite>().unwrap().failed);
+    let relay = relay_of(&mut cloud, &deployment);
+    assert_eq!(relay.open_commands(), 0, "the rejected write retired");
+    let monitor = relay.service(0).unwrap();
+    let monitor = monitor.downcast_ref::<MonitorService>().unwrap();
+    assert_eq!(monitor.open_writes(), 0, "the monitor's assembly leaked");
 }
